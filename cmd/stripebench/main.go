@@ -102,12 +102,18 @@ func main() {
 		}
 		return
 	}
+	var violations int64
 	for _, e := range todo {
 		start := time.Now()
 		fmt.Printf("== %s: %s\n", e.ID, e.Title)
 		r := e.Run(cfg)
 		fmt.Println(r.Text)
 		fmt.Printf("-- %s finished in %v\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		violations += r.Violations
+	}
+	if violations != 0 {
+		fmt.Fprintf(os.Stderr, "stripebench: %d invariant violations\n", violations)
+		os.Exit(1)
 	}
 }
 

@@ -66,20 +66,36 @@
 //
 // # Counters
 //
-// Sender.Stats and Session.SendStats return SenderStats, the
-// transmit-side counters: DataPackets and DataBytes (data striped so
-// far), Markers (marker packets cut), Round and Epoch (the SRR
-// automaton position), and PerChannel ([]ChannelLoad with Packets and
-// Bytes per channel — the raw material of the fairness claim).
-// Receiver.Stats and Session.Stats return ReceiverStats, the
-// receive-side mirror: Delivered and DeliveredBytes (in-order data
-// handed to the application), Markers and BadMarkers (consumed vs
-// dropped-as-corrupt), Resyncs (markers that actually changed receiver
-// state), Skips (channel visits skipped under the r_c > G rule),
-// Resets and OldEpochDrops (epoch resets and packets discarded while
-// waiting one out), SelfHeals (state adopted wholesale from uniformly
-// newer markers), and FastForwards (rounds advanced while every
-// channel was skip-listed).
+// Every protocol event is counted once, by the engine that causes it,
+// in a ledger with one row per channel; Stats returns a copy, and an
+// attached Collector is published the same rows (see Observability).
+//
+// Sender.Stats and Session.SendStats return SenderStats, the send
+// ledger: DataPackets, DataBytes and Markers (totals), Round and Epoch
+// (the SRR automaton position), MaxPacket, Resets, and PerChannel
+// ([]ChannelLoad: Packets and Bytes per channel — the raw material of
+// the fairness claim — plus Markers, BlockedSends, Joins and Drains, the
+// Quantum/Surplus/CreditRemaining/Removed gauges, and the fairness
+// baseline JoinRound/JoinBytes).
+//
+// Receiver.Stats and Session.Stats return ReceiverStats, the receive
+// ledger. PerChannel rows name the fate of every packet received on the
+// channel — Arrived = Delivered + Buffered + Markers + Telemetry +
+// Control (member blocks, resets, stray credits) + OldEpochDrops
+// (discarded waiting out a reset) + OverflowDrops (hard buffer cap) +
+// MemberDrops (arrivals on a removed slot) + MemberLost (buffered tail
+// declared lost at retirement) + BadMarkers + BadMembers + BadTelemetry
+// (corrupt, mis-addressed or foreign control) + UnknownKinds, exactly —
+// and carry the per-channel events: Resyncs (markers that actually
+// changed receiver state), Skips (visits skipped under the r_c > G
+// rule), EagerMarkers, MemberJoins/MemberDrains, LostBytes and
+// LossMarkers (in-flight loss proven by marker positions), the marker
+// arrival stamps and the Draining/Removed gauges. The same names read
+// directly on the stats value are the totals over channels
+// (Stats().Delivered, Stats().MemberDrops, ...); Resets, SelfHeals
+// (state adopted wholesale from uniformly stale markers), FastForwards
+// (rounds advanced while every channel was skip-listed), Overflows,
+// Occupancy and HighWater are per receiver.
 //
 // # Observability
 //
@@ -91,16 +107,22 @@
 //	defer srv.Close()
 //	// curl http://127.0.0.1:9090/metrics
 //
-// The collector keeps per-channel packet/byte/marker/recovery counters,
-// a packet-displacement histogram, and a live fairness gauge — the
-// observed max_i |K·Quantum_i − bytes_i| next to the Theorem 3.2 bound
-// Max + 2·Quantum. Serve exposes everything as Prometheus text on
+// The collector is published both ledgers at the engines' flush points
+// (at most 64 packets or one marker interval behind; the Snapshot
+// methods flush first and are exact) and adds a packet-displacement
+// histogram and a live fairness gauge — the observed
+// max_i |K·Quantum_i − bytes_i| next to the Theorem 3.2 bound
+// Max + 2·Quantum. A Checker attached with SetChecker asserts packet
+// conservation (the identity above, exactly, per channel), the fairness
+// band and credit conservation at every flush. Serve exposes everything
+// — every ledger field, every drop by name and by channel
+// (stripe_channel_drops_total{reason=...}) — as Prometheus text on
 // /metrics, expvar JSON on /debug/vars, and the standard pprof
 // profiles on /debug/pprof/. Read it in-process with Snapshot (on the
 // Collector or on the Sender/Receiver/Session it is attached to), or
 // subscribe to discrete protocol transitions (resync, skip, reset,
-// self-heal, fast-forward, credit exhaustion, credit reconciliation,
-// resequencer overflow) with Collector.AddSink —
+// self-heal, fast-forward, credit exhaustion, marker-proven loss,
+// resequencer overflow, membership changes) with Collector.AddSink —
 // NewRingSink keeps the last n events, NewWriterSink logs one line
 // each. All of it is nil-safe: with no Collector configured the hot
 // path pays a single pointer test.
@@ -110,8 +132,8 @@
 //
 //	stripe.NewWindows(col, stripe.WindowConfig{}) // 1s tick, 1s/10s/60s spans
 //
-// Counter deltas fold into ring-buffered windows on the engine's flush
-// tick (no per-packet cost) and publish per-channel goodput, loss and
+// Ledger deltas fold into ring-buffered windows on the engines' flush
+// tick (nothing per packet) and publish per-channel goodput, loss and
 // resync fractions, send-latency EWMAs, marker-spread delay skew, and
 // a composable 0-100 HealthScore with reason codes. Serve adds the
 // rolled-up view at /debug/stripe/health and windowed stripe_*_rate /

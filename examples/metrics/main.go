@@ -53,7 +53,7 @@ import (
 
 func sumBlocked(s stripe.Snapshot) (n int64) {
 	for _, c := range s.Channels {
-		n += c.BlockedSends
+		n += c.Tx.BlockedSends
 	}
 	return n
 }

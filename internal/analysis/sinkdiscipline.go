@@ -53,7 +53,7 @@ func runSinkDiscipline(prog *Program, pkgs []*Package) []Diagnostic {
 						ds = append(ds, Diagnostic{
 							Pos:  prog.Fset.Position(n.Pos()),
 							Pass: sinkDisciplineName,
-							Msg:  "obs.Event constructed outside internal/obs; events are born in the collector (use its On*/Trace* hooks)",
+							Msg:  "obs.Event constructed outside internal/obs; events are born in the collector (use its Emit/Trace* methods)",
 						})
 					}
 				case *ast.CallExpr:

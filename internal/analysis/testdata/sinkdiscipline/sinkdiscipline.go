@@ -44,7 +44,7 @@ func ConcreteCall(s *spySink, e obs.Event) {
 //stripe:hotpath
 func HotRecord(c *obs.Collector, h *obs.Histogram, v int64) {
 	h.Observe(v) // want "hot paths emit only through the sampled"
-	c.OnStriped(0, int(v))
+	c.Displaced(v)
 }
 
 // ColdRecord is not hot: direct Histogram use outside a hot path is

@@ -24,8 +24,8 @@ type LiveConfig struct {
 	Impairments Impairments
 	// Buffer is the transmit queue depth in packets (default 1024).
 	Buffer int
-	// Obs, when non-nil, receives channel loss counts and transmit
-	// queue depth for channel index Index.
+	// Obs, when non-nil, reads this channel's loss count and transmit
+	// queue depth (as channel index Index) whenever it is scraped.
 	Obs *obs.Collector
 	// Index is this channel's index within the stripe, used to label
 	// the collector's per-channel metrics.
@@ -58,6 +58,10 @@ func NewLive(cfg LiveConfig) *Live {
 		out:  make(chan *packet.Packet, cfg.Buffer),
 		stop: make(chan struct{}),
 	}
+	cfg.Obs.SetChannelSource(cfg.Index, func() (lost, queueDepth int64) {
+		st := l.Stats()
+		return st.Lost + st.Corrupted, int64(len(l.in))
+	})
 	go l.pump()
 	return l
 }
@@ -112,7 +116,6 @@ func (l *Live) pump() {
 					}
 				}
 			}
-			l.cfg.Obs.SetChannelQueueDepth(l.cfg.Index, int64(len(l.in)))
 			lost, corrupted := q.lose()
 			if lost || corrupted {
 				l.mu.Lock()
@@ -122,7 +125,6 @@ func (l *Live) pump() {
 					l.stats.Corrupted++
 				}
 				l.mu.Unlock()
-				l.cfg.Obs.OnChannelLost(l.cfg.Index)
 				continue
 			}
 			release := txFree.Add(l.cfg.Delay)

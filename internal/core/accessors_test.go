@@ -32,8 +32,8 @@ func TestAccessorsAndEdgeArrivals(t *testing.T) {
 	if st.Round() == 0 {
 		t.Fatal("rounds never advanced")
 	}
-	if st.SentBytes() != total {
-		t.Fatalf("SentBytes = %d, want %d", st.SentBytes(), total)
+	if st.Stats().DataBytes != total {
+		t.Fatalf("SentBytes = %d, want %d", st.Stats().DataBytes, total)
 	}
 	p0, b0 := st.SentOn(0)
 	p1, b1 := st.SentOn(1)

@@ -96,8 +96,8 @@ func TestMarkerWalkthroughFigures8to13(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st.SentMarkers() != 2 {
-		t.Fatalf("sent %d markers, want 2 (one per channel)", st.SentMarkers())
+	if st.Stats().Markers != 2 {
+		t.Fatalf("sent %d markers, want 2 (one per channel)", st.Stats().Markers)
 	}
 
 	got := pumpAll(g, rs)
@@ -599,7 +599,7 @@ func TestStriperGate(t *testing.T) {
 	if err := st.Send(p); err != ErrGated {
 		t.Fatalf("Send = %v, want ErrGated", err)
 	}
-	if st.SentData() != 0 {
+	if st.Stats().DataPackets != 0 {
 		t.Fatal("gated send was counted")
 	}
 	gate.admit = true

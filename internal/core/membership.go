@@ -40,6 +40,7 @@ import (
 	"fmt"
 
 	"stripe/internal/channel"
+	"stripe/internal/obs"
 	"stripe/internal/packet"
 )
 
@@ -71,12 +72,15 @@ func (s MemberState) String() string {
 	}
 }
 
-// memberAnnounceBatches is how many consecutive marker batches carry a
+// MemberAnnounceBatches is how many consecutive marker batches carry a
 // re-broadcast of the latest membership announcement. Announcements are
 // idempotent (sequenced, full bitmap), so redundancy costs one small
 // control packet per channel per batch and buys loss resilience without
-// an acknowledgement protocol.
-const memberAnnounceBatches = 4
+// an acknowledgement protocol. It is also the receiver's patience: a
+// slot still draining, empty, this many of the local end's marker
+// batches after its departure was announced will not see its delimiter
+// any more, and the session declares the link dead (RemoveChannel).
+const MemberAnnounceBatches = 4
 
 // memberUniverseMax is the largest channel universe dynamic membership
 // supports, bounded by the announcement bitmap (packet.MemberBlock).
@@ -181,6 +185,7 @@ func (st *Striper) RemoveChannel(c int) error {
 	}
 	st.active[c] = false
 	st.activeN--
+	st.led.PerChannel[c].Drains++
 	st.memberSeq++
 	st.lastAnnounce = st.memberBlock(packet.MemberLeave, c, st.rb.Round())
 	// Best-effort delimiter on the departing channel; it may already be
@@ -188,7 +193,7 @@ func (st *Striper) RemoveChannel(c int) error {
 	// (sequenced, full-bitmap) truth.
 	_ = st.out[c].Send(packet.NewMember(st.lastAnnounce))
 	st.errStreak[c] = 0
-	st.announceLeft = memberAnnounceBatches
+	st.announceLeft = MemberAnnounceBatches
 	st.broadcastMember()
 	// Rounds only advance by serving enabled slots, so a removal must not
 	// leave the scheduler empty while joins still wait on their round
@@ -239,11 +244,16 @@ func (st *Striper) AddChannel(c int, tx channel.Sender) (uint64, error) {
 	st.activeN++
 	st.errStreak[c] = 0
 	join := st.rb.Round() + 1
+	// The join rebases the channel's fairness baseline: the Theorem 3.2
+	// band measures it only over rounds it participates in.
+	row := &st.led.PerChannel[c]
+	row.Joins++
+	row.JoinRound, row.JoinBytes = join, row.Bytes
 	st.pendingJoin[c] = join
 	st.pendingJoins++
 	st.memberSeq++
 	st.lastAnnounce = st.memberBlock(packet.MemberJoin, c, join)
-	st.announceLeft = memberAnnounceBatches
+	st.announceLeft = MemberAnnounceBatches
 	st.broadcastMember()
 	// Cut markers immediately: the survivors' positions resynchronize the
 	// receiver and reconcile credits without waiting out the marker
@@ -382,14 +392,17 @@ func (r *Resequencer) memberOK(c int) error {
 	return nil
 }
 
-// RemoveChannel locally begins channel c's retirement, without waiting
-// for a peer announcement — the health monitor uses it when the link is
-// observed dead from this end. Buffered packets still drain in delivery
-// order; the slot is retired the moment its buffer empties (anything
-// the simulation is still waiting for from c is, by the link being
-// dead, lost — the skip rule and retirement declare it so). Removing a
-// removed channel is a no-op; removing a draining one marks its stream
-// complete so the drain can finish without a delimiter.
+// RemoveChannel locally declares channel c's link dead, without waiting
+// for a peer announcement or a delimiter — the positive evidence of
+// death a draining slot otherwise never gets. The health monitor calls
+// it on eviction, and the session calls it for a slot that has sat
+// draining and empty for MemberAnnounceBatches of its own marker
+// batches. Buffered packets still drain in delivery order; the slot is
+// retired the moment its buffer empties (anything the simulation is
+// still waiting for from c is, by the link being dead, lost — the skip
+// rule and retirement declare it so). Removing a removed channel is a
+// no-op; removing a draining one marks its stream complete so the drain
+// can finish without a delimiter.
 func (r *Resequencer) RemoveChannel(c int) error {
 	if err := r.memberOK(c); err != nil {
 		return err
@@ -404,9 +417,10 @@ func (r *Resequencer) RemoveChannel(c int) error {
 		if r.bufs[c].len() == 0 {
 			r.retire(c)
 		}
-		return nil
+	} else {
+		r.beginLeaving(c)
 	}
-	r.beginLeaving(c)
+	r.SyncObs()
 	return nil
 }
 
@@ -420,22 +434,20 @@ func (r *Resequencer) AddChannel(c int, joinRound uint64) error {
 	if err := r.memberOK(c); err != nil {
 		return err
 	}
-	r.admit(c, joinRound)
+	r.admit(c, joinRound, r.memberSeq)
+	r.SyncObs()
 	return nil
 }
 
-// applyMember applies one membership announcement. Blocks are sequenced
-// and carry the full live-set bitmap, so only newer blocks apply and
-// any single block repairs an arbitrarily long run of missed ones.
+// applyMember applies one membership announcement for this universe
+// (arrive has checked N). Blocks are sequenced and carry the full
+// live-set bitmap, so only newer blocks apply and any single block
+// repairs an arbitrarily long run of missed ones.
 //
 //stripe:allowescape cold membership control path: runs per announcement (transitions and marker cadence), not per packet
 func (r *Resequencer) applyMember(m packet.MemberBlock) {
 	if r.mode == ModeLogical && r.mem == nil {
 		return // round-less causal simulation: membership unsupported
-	}
-	if int(m.N) != r.n {
-		r.stats.BadMembers++ // foreign universe: mis-wired, do not apply
-		return
 	}
 	if m.Seq <= r.memberSeq {
 		return // stale or duplicate (re-broadcast) announcement
@@ -443,18 +455,19 @@ func (r *Resequencer) applyMember(m packet.MemberBlock) {
 	r.memberSeq = m.Seq
 	for c := 0; c < r.n; c++ {
 		if m.ActiveChannel(c) {
-			r.admit(c, m.Round)
+			r.admit(c, m.Round, m.Seq)
 		} else if !r.left[c] && !r.leaving[c] {
 			r.beginLeaving(c)
 		}
 	}
 }
 
-// admit (re)enters slot c into the live set. No-op when c is already
+// admit (re)enters slot c into the live set, as of announcement seq
+// (the newest applied, for a local AddChannel). No-op when c is already
 // active.
 //
 //stripe:allowescape cold membership control path: join transitions only
-func (r *Resequencer) admit(c int, joinRound uint64) {
+func (r *Resequencer) admit(c int, joinRound, seq uint64) {
 	if r.leaving[c] {
 		// The channel flapped back before its drain completed. The old
 		// buffered tail cannot be ordered consistently against the
@@ -466,7 +479,9 @@ func (r *Resequencer) admit(c int, joinRound uint64) {
 		return
 	}
 	r.left[c] = false
+	r.led.PerChannel[c].Removed = false
 	r.delimited[c] = false
+	r.joinSeq[c] = seq
 	if r.mem != nil {
 		r.mem.SetEnabled(c, true)
 	}
@@ -478,8 +493,9 @@ func (r *Resequencer) admit(c int, joinRound uint64) {
 		r.pendingHas[c] = false
 		r.clearStale() // any staleness census spoke about the old set
 	}
-	r.stats.MemberJoins++
-	r.obs.OnMemberJoin(c, joinRound)
+	r.led.PerChannel[c].MemberJoins++
+	r.obs.Emit(obs.KindMemberJoin, c, joinRound, 0)
+	r.syncSoon()
 	if r.onMembership != nil {
 		r.onMembership(c, true)
 	}
@@ -493,17 +509,21 @@ func (r *Resequencer) beginLeaving(c int) {
 		return
 	}
 	r.leaving[c] = true
+	r.led.PerChannel[c].Draining = true
 	r.leavingN++
+	r.syncSoon()
 	if r.delimited[c] && r.bufs[c].len() == 0 {
 		r.retire(c)
 	}
 }
 
 // sweepLeaving retires draining slots whose streams are complete and
-// whose buffers have emptied. Undelimited slots wait for their
-// delimiter — their tail may still be in flight — and cannot wedge the
-// simulation: the delivery scans retire a draining slot the moment they
-// actually block on it.
+// whose buffers have emptied. A stream is complete once the slot is
+// delimited: its own FIFO delimiter arrived, or RemoveChannel declared
+// the link dead. An undelimited slot is never retired for merely being
+// empty — its tail may still be in flight, and retiring early would
+// turn that tail into MemberDrops — so the scans block on it like on
+// any other channel until one of the two arrives.
 func (r *Resequencer) sweepLeaving() {
 	for c := 0; c < r.n; c++ {
 		if r.leaving[c] && r.delimited[c] && r.bufs[c].len() == 0 {
@@ -517,13 +537,17 @@ func (r *Resequencer) sweepLeaving() {
 // data — unreachable in order once the channel is gone — is declared
 // lost, and the slot leaves the simulation. Every packet buffered from
 // c is therefore either delivered in order (the drain path) or declared
-// lost here; none is ever delivered out of order.
+// lost here; none is ever delivered out of order. Callers retire only
+// delimited slots (sweepLeaving, the delimiter's arrival, a local
+// RemoveChannel) or slots whose backlog a reset or rejoin has made
+// undeliverable.
 //
 //stripe:allowescape cold membership control path: one retirement per departure
 func (r *Resequencer) retire(c int) {
+	row := &r.led.PerChannel[c]
 	var lost int64
 	for {
-		p, ok := r.bufs[c].pop()
+		p, ok := r.pop(c)
 		if !ok {
 			break
 		}
@@ -531,16 +555,9 @@ func (r *Resequencer) retire(c int) {
 		case packet.Data:
 			lost++
 		case packet.Marker:
-			if m, err := packet.MarkerOf(p); err == nil {
-				r.stats.Markers++
-				r.obs.OnMarkerConsumed(c)
-				if r.onMarker != nil {
-					r.onMarker(c, m)
-				}
-			} else {
-				r.stats.BadMarkers++
-				r.obs.OnBadMarker()
-			}
+			r.consumeMarker(c, p)
+		default:
+			row.Control++
 		}
 	}
 	if r.leaving[c] {
@@ -549,6 +566,7 @@ func (r *Resequencer) retire(c int) {
 	}
 	r.delimited[c] = false
 	r.left[c] = true
+	row.Draining, row.Removed = false, true
 	if r.mem != nil {
 		r.mem.SetEnabled(c, false)
 	}
@@ -558,13 +576,10 @@ func (r *Resequencer) retire(c int) {
 		r.pendingHas[c] = false
 		r.clearStale()
 	}
-	r.stats.MemberDrains++
-	r.stats.MemberLost += lost
-	var round uint64
-	if r.mode == ModeLogical && r.s != nil {
-		round = r.s.Round()
-	}
-	r.obs.OnMemberDrain(c, round, lost)
+	row.MemberDrains++
+	row.MemberLost += lost
+	r.obs.Emit(obs.KindMemberDrain, c, r.round(), lost)
+	r.syncSoon()
 	if r.onMembership != nil {
 		r.onMembership(c, false)
 	}

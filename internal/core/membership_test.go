@@ -117,12 +117,172 @@ func TestGracefulRemoveLosslessDrain(t *testing.T) {
 	}
 }
 
+// TestDelayedTailSurvivesScanBlockage is the deterministic form of the
+// lossless-drain race: the survivors' departure announcements out-run
+// the departing channel's in-flight tail, so the delivery scan reaches
+// the draining slot while its buffer is still empty. Blocking there is
+// not evidence of death — the slot must wait for its own FIFO delimiter
+// — so when the tail and delimiter land, everything is delivered in
+// order and nothing is dropped on a prematurely removed slot.
+func TestDelayedTailSurvivesScanBlockage(t *testing.T) {
+	g, st, rs := membershipPair(t, 3)
+
+	sendN(t, st, 12)
+	if err := st.RemoveChannel(1); err != nil {
+		t.Fatal(err)
+	}
+	sendN(t, st, 12)
+
+	// Pump only the survivors to exhaustion: channel 1's share of the
+	// first 12, its final marker and its delimiter all stay in flight.
+	var got []*packet.Packet
+	deliver := func() {
+		for {
+			p, ok := rs.Next()
+			if !ok {
+				return
+			}
+			got = append(got, p)
+		}
+	}
+	for _, c := range []int{0, 2} {
+		for {
+			p, ok := g.Queues[c].Recv()
+			if !ok {
+				break
+			}
+			rs.Arrive(c, p)
+		}
+		deliver()
+	}
+	if len(got) >= 12 || rs.MemberState(1) != MemberDraining {
+		t.Fatalf("scan delivered %d packets with channel 1 %v; want it blocked on the draining slot",
+			len(got), rs.MemberState(1))
+	}
+
+	// Now the delayed tail lands, delimiter last.
+	got = append(got, pumpAll(g, rs)...)
+	ids := assertAscending(t, got)
+	if len(ids) != 24 {
+		t.Fatalf("delivered %d packets %v, want all 24", len(ids), ids)
+	}
+	s := rs.Stats()
+	if s.MemberDrops != 0 || s.MemberLost != 0 || s.MemberDrains != 1 {
+		t.Fatalf("drops=%d lost=%d drains=%d, want 0/0/1; channel 1 row %+v",
+			s.MemberDrops, s.MemberLost, s.MemberDrains, s.PerChannel[1])
+	}
+	if rs.MemberState(1) != MemberRemoved {
+		t.Fatalf("MemberState(1) = %v, want removed after the delimiter", rs.MemberState(1))
+	}
+}
+
+// TestStaleDelimiterDoesNotCompleteNextDeparture flaps a channel out
+// and back so quickly that the receiver learns both transitions from
+// the survivors while the first departure's delimiter is still in
+// flight on the flapped channel. That delimiter speaks about the old
+// incarnation: it must not mark the rejoined channel's stream complete,
+// or the next departure would retire the slot ahead of its in-flight
+// tail.
+func TestStaleDelimiterDoesNotCompleteNextDeparture(t *testing.T) {
+	g, st, rs := membershipPair(t, 3)
+	var got []*packet.Packet
+	survivors := func() {
+		arriveAll(g, rs, 0)
+		arriveAll(g, rs, 2)
+		for {
+			p, ok := rs.Next()
+			if !ok {
+				return
+			}
+			got = append(got, p)
+		}
+	}
+
+	sendN(t, st, 6)
+	got = append(got, pumpAll(g, rs)...)
+	if err := st.RemoveChannel(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AddChannel(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	survivors() // both announcements overtake channel 1's delimiter
+	if rs.MemberState(1) != MemberActive {
+		t.Fatalf("MemberState(1) = %v after the rejoin announcement, want active", rs.MemberState(1))
+	}
+	sendN(t, st, 12)
+	got = append(got, pumpAll(g, rs)...) // the stale delimiter lands here
+
+	sendN(t, st, 6)
+	if err := st.RemoveChannel(1); err != nil {
+		t.Fatal(err)
+	}
+	sendN(t, st, 6)
+	survivors() // the second departure's announcement out-runs channel 1's tail
+	got = append(got, pumpAll(g, rs)...)
+
+	if ids := assertAscending(t, got); len(ids) != 30 {
+		t.Fatalf("delivered %d packets %v, want all 30", len(ids), ids)
+	}
+	if s := rs.Stats(); s.MemberDrops != 0 || s.MemberLost != 0 {
+		t.Fatalf("drops=%d lost=%d, want 0/0; channel 1 row %+v", s.MemberDrops, s.MemberLost, s.PerChannel[1])
+	}
+}
+
+// TestOvertakenDelimiterStillCompletesItsDeparture removes two channels
+// in a row and lets the survivors deliver both announcements first, so
+// channel 1's delimiter (seq N) lands after the announcement of channel
+// 2's departure (seq N+1) was applied. The later announcement says
+// nothing about channel 1's stream: staleness is judged against the
+// slot's own last admission, not the newest applied block, so the
+// overtaken delimiter still completes its departure.
+func TestOvertakenDelimiterStillCompletesItsDeparture(t *testing.T) {
+	g, st, rs := membershipPair(t, 4)
+
+	sendN(t, st, 8)
+	if err := st.RemoveChannel(1); err != nil {
+		t.Fatal(err)
+	}
+	sendN(t, st, 8)
+	if err := st.RemoveChannel(2); err != nil {
+		t.Fatal(err)
+	}
+	sendN(t, st, 8)
+
+	var got []*packet.Packet
+	for _, c := range []int{0, 3} { // both announcements out-run both tails
+		arriveAll(g, rs, c)
+	}
+	for p, ok := rs.Next(); ok; p, ok = rs.Next() {
+		got = append(got, p)
+	}
+	if rs.MemberState(1) != MemberDraining || rs.MemberState(2) != MemberDraining {
+		t.Fatalf("states %v/%v after the survivors' announcements, want both draining",
+			rs.MemberState(1), rs.MemberState(2))
+	}
+
+	got = append(got, pumpAll(g, rs)...)
+	if ids := assertAscending(t, got); len(ids) != 24 {
+		t.Fatalf("delivered %d packets %v, want all 24", len(ids), ids)
+	}
+	s := rs.Stats()
+	if s.MemberDrops != 0 || s.MemberLost != 0 || s.MemberDrains != 2 || rs.Buffered() != 0 {
+		t.Fatalf("drops=%d lost=%d drains=%d buffered=%d, want 0/0/2/0; rows %+v %+v",
+			s.MemberDrops, s.MemberLost, s.MemberDrains, rs.Buffered(), s.PerChannel[1], s.PerChannel[2])
+	}
+	if rs.MemberState(1) != MemberRemoved || rs.MemberState(2) != MemberRemoved {
+		t.Fatalf("states %v/%v, want both removed after their delimiters", rs.MemberState(1), rs.MemberState(2))
+	}
+}
+
 // TestDeadLinkRemovalNeverReorders cuts a link cold (silent in-flight
 // destruction, including the would-be delimiter), then removes the
 // channel on the transmit side. The survivors' announcements begin the
-// receiver's drain, and the delivery scan retires the slot when it
-// actually blocks on it: every surviving packet is delivered in order,
-// the destroyed ones are simply absent, and nothing is ever reordered.
+// receiver's drain, but the delimiter died with the link, so the scan
+// waits on the empty slot until this end declares the link dead — what
+// the session does after MemberAnnounceBatches marker batches. Then
+// every surviving packet is delivered in order, the destroyed ones are
+// simply absent, and nothing is ever reordered.
 func TestDeadLinkRemovalNeverReorders(t *testing.T) {
 	g, kill, st, rs := killPair(t, 3)
 
@@ -138,7 +298,14 @@ func TestDeadLinkRemovalNeverReorders(t *testing.T) {
 	}
 	sendN(t, st, 6) // IDs 18..23, striped over the survivors
 
-	ids := assertAscending(t, pumpAll(g, rs))
+	got := pumpAll(g, rs)
+	if rs.MemberState(1) != MemberDraining {
+		t.Fatalf("MemberState(1) = %v before death is declared, want draining", rs.MemberState(1))
+	}
+	if err := rs.RemoveChannel(1); err != nil { // the death evidence
+		t.Fatal(err)
+	}
+	ids := assertAscending(t, append(got, pumpAll(g, rs)...))
 	if want := 24 - 9 - kill.lost; len(ids) != want {
 		t.Fatalf("delivered %d packets %v, want %d (all survivors)", len(ids), ids, want)
 	}

@@ -87,7 +87,7 @@ func TestObsLossThenMarkerOneResyncPerChannel(t *testing.T) {
 	}
 	// Snapshot agrees with the event stream, per channel.
 	snap := col.Snapshot()
-	if snap.Channels[0].Resyncs != 1 || snap.Channels[1].Resyncs != 0 {
+	if snap.Channels[0].Rx.Resyncs != 1 || snap.Channels[1].Rx.Resyncs != 0 {
 		t.Fatalf("per-channel resync counters: %+v", snap.Channels)
 	}
 	if snap.Events["resync"] != 1 {
@@ -221,9 +221,9 @@ func TestObsStriperCounters(t *testing.T) {
 	snap := col.Snapshot()
 	var gotPkts, gotBytes, markers int64
 	for _, ch := range snap.Channels {
-		gotPkts += ch.StripedPackets
-		gotBytes += ch.StripedBytes
-		markers += ch.MarkersEmitted
+		gotPkts += ch.Tx.Packets
+		gotBytes += ch.Tx.Bytes
+		markers += ch.Tx.Markers
 	}
 	if gotPkts != sent || gotBytes != bytes {
 		t.Fatalf("collector saw %d pkts/%d bytes, striped %d/%d", gotPkts, gotBytes, sent, bytes)

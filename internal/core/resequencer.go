@@ -84,37 +84,17 @@ type ResequencerConfig struct {
 	// the marker protocol already recovers from. Zero means unbounded
 	// (the seed behaviour).
 	MaxBuffered int
-	// Obs, when non-nil, receives per-channel metrics and protocol
-	// events (resync, skip, reset, self-heal, fast-forward). A nil
-	// collector disables instrumentation at the cost of one pointer
-	// test per packet.
+	// Obs, when non-nil, is published the receive ledger at every flush
+	// (see SyncObs) and sent protocol events (resync, skip, reset,
+	// self-heal, fast-forward, membership). A nil collector disables
+	// instrumentation at the cost of one pointer test per packet.
 	Obs *obs.Collector
 }
 
-// ResequencerStats counts receiver events.
-type ResequencerStats struct {
-	Delivered      int64 // data packets handed to the application
-	DeliveredBytes int64
-	Markers        int64 // valid markers consumed
-	BadMarkers     int64 // markers dropped as corrupt
-	Resyncs        int64 // markers that changed receiver state (r_c or DC)
-	Skips          int64 // channel visits skipped under the r_c > G rule
-	Resets         int64 // epoch resets applied
-	OldEpochDrops  int64 // packets discarded while waiting out a reset
-	SelfHeals      int64 // self-stabilization events (state adopted from markers)
-	FastForwards   int64 // round fast-forwards while every channel was skip-listed
-	EagerMarkers   int64 // markers consumed eagerly at arrival (no data precedes them)
-	Overflows      int64 // buffer-cap overflow escalations
-	OverflowDrops  int64 // arrivals discarded at the hard buffer cap
-	MemberJoins    int64 // channels (re)admitted to the live set
-	MemberDrains   int64 // channel retirements completed
-	MemberLost     int64 // buffered data packets declared lost at retirement
-	MemberDrops    int64 // arrivals discarded on removed channels
-	BadMembers     int64 // membership announcements dropped as corrupt
-	Telemetry      int64 // telemetry blocks consumed
-	BadTelemetry   int64 // telemetry blocks dropped as corrupt
-	UnknownKinds   int64 // arrivals dropped for unrecognized codepoints
-}
+// ResequencerStats is the receive ledger: every receiver event, counted
+// once, per channel, with the embedded row holding the totals. See
+// obs.RecvLedger for the fields and the conservation identity.
+type ResequencerStats = obs.RecvLedger
 
 // Resequencer is the receiver engine. Drive it by pushing packets from
 // each channel with Arrive and pulling in-order deliveries with Next.
@@ -155,28 +135,18 @@ type Resequencer struct {
 	resetting bool
 	passed    []bool
 
-	stats ResequencerStats
-	// Per-channel delivered byte counts, used by credit-based flow
-	// control to compute cumulative grants.
-	deliveredOn []int64
-	// Per-channel cumulative data bytes physically arrived, the
-	// receiver half of the marker-position reconciliation: Sent (from
-	// the marker) minus arrivedOn is exactly the loss on the channel.
-	arrivedOn []int64
-	obs       *obs.Collector
+	// led is the receive ledger, the only count of every receiver event.
+	// Its per-channel rows also carry what flow control and the telemetry
+	// plane read: cumulative delivered/arrived/buffered bytes, the exact
+	// cumulative loss (the monotone max-fold of each marker's Sent
+	// position minus ArrivedBytes — exact because channels are FIFO), and
+	// the latest marker's arrival stamps.
+	led ResequencerStats
+	obs *obs.Collector
+	// obsLag counts arrivals and deliveries since the ledger was last
+	// published; see SyncObs.
+	obsLag int
 
-	// Telemetry-plane state, harvested at physical marker arrival and
-	// reported back to the sender by TelemetryBlock. resyncsOn
-	// attributes resync events to the channel whose marker (or sequence
-	// gap) triggered them; peerLost is the monotone max-fold of each
-	// marker's Sent position minus arrivedOn — exact cumulative loss,
-	// because channels are FIFO; markerTxNs/markerRxNs hold the latest
-	// stamped marker's (sender tx, receiver rx) clock pair, one one-way
-	// delay sample.
-	resyncsOn    []int64
-	peerLost     []int64
-	markerTxNs   []int64
-	markerRxNs   []int64
 	now          func() int64
 	telemetrySeq uint64
 	onTelemetry  func(packet.TelemetryBlock)
@@ -205,21 +175,27 @@ type Resequencer struct {
 	healGap      uint64 // 0 = disabled
 
 	// Dynamic membership (receive side). A channel leaves in two steps:
-	// draining (departure announced or observed, buffered packets still
-	// being delivered in order) then removed (buffer empty, slot disabled
-	// in the simulation, further arrivals on it dropped). The universe is
-	// never renumbered, preserving condition C2.
+	// draining (departure announced or observed, its stream still being
+	// delivered in order) then removed (stream complete and buffer empty,
+	// slot disabled in the simulation, further arrivals on it dropped).
+	// The universe is never renumbered, preserving condition C2.
 	mem     sched.Membership // non-nil when the simulated scheduler supports it
-	leaving []bool           // draining: out of the live set, buffer not yet empty
+	leaving []bool           // draining: out of the live set, stream not yet complete and drained
 	left    []bool           // removed
 	// delimited marks channels whose data stream is known complete: a
 	// membership block arrived on the channel itself while excluding it,
 	// and per-channel FIFO puts that block after every packet the sender
-	// transmitted before retiring the slot. A draining delimited channel
-	// retires the moment its buffer empties without losing anything that
-	// was in flight; an undelimited one retires only when the delivery
-	// discipline actually blocks on it (or is locally declared dead).
-	delimited    []bool
+	// transmitted before retiring the slot — or RemoveChannel declared the
+	// link dead locally. A draining delimited channel retires the moment
+	// its buffer empties without losing anything that was in flight; an
+	// undelimited one never retires, however long the scan blocks on it.
+	delimited []bool
+	// joinSeq is the announcement sequence number at which each slot was
+	// last admitted (zero for the founding live set). A block that
+	// excludes c delimits c's current stream iff it is newer than that:
+	// staleness is judged per slot, because an announcement about another
+	// channel may overtake c's delimiter without saying anything about c.
+	joinSeq      []uint64
 	leavingN     int
 	memberSeq    uint64 // last applied announcement sequence number
 	onMembership func(c int, joined bool)
@@ -272,19 +248,15 @@ func NewResequencer(cfg ResequencerConfig) (*Resequencer, error) {
 		pendingHas:   make([]bool, n),
 		passed:       make([]bool, n),
 		onMarker:     cfg.OnMarker,
-		deliveredOn:  make([]int64, n),
-		arrivedOn:    make([]int64, n),
+		led:          ResequencerStats{PerChannel: make([]obs.RecvChannel, n)},
 		staleRound:   make([]uint64, n),
 		staleDeficit: make([]int64, n),
 		staleHas:     make([]bool, n),
 		leaving:      make([]bool, n),
 		left:         make([]bool, n),
 		delimited:    make([]bool, n),
+		joinSeq:      make([]uint64, n),
 		onMembership: cfg.OnMembership,
-		resyncsOn:    make([]int64, n),
-		peerLost:     make([]int64, n),
-		markerTxNs:   make([]int64, n),
-		markerRxNs:   make([]int64, n),
 		now:          cfg.Now,
 		onTelemetry:  cfg.OnTelemetry,
 	}
@@ -302,42 +274,139 @@ func NewResequencer(cfg ResequencerConfig) (*Resequencer, error) {
 // N returns the channel count.
 func (r *Resequencer) N() int { return r.n }
 
-// Stats returns a copy of the receiver counters.
-func (r *Resequencer) Stats() ResequencerStats { return r.stats }
+// Stats returns a copy of the receive ledger with its totals summed. It
+// also publishes the ledger, so a Stats call brings an attached
+// collector fully up to date.
+func (r *Resequencer) Stats() ResequencerStats {
+	r.SyncObs()
+	s := r.led
+	s.PerChannel = append([]obs.RecvChannel(nil), r.led.PerChannel...)
+	s.Sum()
+	return s
+}
+
+// Channel returns a copy of channel c's ledger row (the zero row when c
+// is out of range). Credit reconciliation reads ArrivedBytes and
+// BufferedBytes from it at marker arrival, the session's silence rule
+// reads LastMarkerAt.
+func (r *Resequencer) Channel(c int) obs.RecvChannel {
+	if c < 0 || c >= r.n {
+		return obs.RecvChannel{}
+	}
+	return r.led.PerChannel[c]
+}
 
 // DeliveredBytesOn returns the cumulative data bytes delivered that
 // arrived on channel c. Credit-based flow control derives cumulative
 // grants from it.
-func (r *Resequencer) DeliveredBytesOn(c int) int64 { return r.deliveredOn[c] }
+func (r *Resequencer) DeliveredBytesOn(c int) int64 { return r.led.PerChannel[c].DeliveredBytes }
 
-// ArrivedBytesOn returns the cumulative data bytes physically received
-// on channel c, whether delivered, still buffered, or discarded.
-// Credit reconciliation subtracts it from a marker-carried sender
-// position to compute the channel's exact cumulative loss.
-func (r *Resequencer) ArrivedBytesOn(c int) int64 {
-	if c < 0 || c >= r.n {
-		return 0
-	}
-	return r.arrivedOn[c]
-}
-
-// BufferedBytesOn returns the data payload bytes currently buffered for
-// channel c (awaiting their turn in the delivery order).
-func (r *Resequencer) BufferedBytesOn(c int) int64 {
-	if c < 0 || c >= r.n {
-		return 0
-	}
-	return r.bufs[c].dataBytes
+// ReleasedBytesOn returns the cumulative data bytes on channel c that
+// have left the pipeline for good: delivered, or proven lost by a marker
+// position. It is the position a loss-reconciling credit manager grants
+// a window past.
+func (r *Resequencer) ReleasedBytesOn(c int) int64 {
+	row := &r.led.PerChannel[c]
+	return row.DeliveredBytes + row.LostBytes
 }
 
 // Buffered returns the total number of packets waiting in per-channel
 // buffers (plus, in ModeNone, the delivery queue).
-func (r *Resequencer) Buffered() int {
-	t := r.arrivq.len()
-	for i := range r.bufs {
-		t += r.bufs[i].len()
+func (r *Resequencer) Buffered() int { return int(r.led.Occupancy) }
+
+// SyncObs publishes the receive ledger to the attached collector, the
+// mirror image of Striper.SyncObs. It runs once obsFlushEvery arrivals
+// and deliveries have accumulated (checked at the end of Arrive, Next
+// and NextBatch), when Next or NextBatch finds nothing more to deliver
+// (the consumer is about to wait, so an idle receiver's ledger is
+// current), after a membership change, reset or overflow, and from
+// Stats/Snapshot — so a scrape lags a loaded receiver by at most
+// obsFlushEvery packets; sessions also publish on every marker tick,
+// which bounds the lag of a receiver nobody is reading at a marker
+// interval. The collector evaluates its checks on the published copy,
+// packet conservation among them: every call site is a packet boundary,
+// where each arrival has exactly one fate.
+//
+//stripe:allowescape publishes the ledger and runs invariant checks (which lock) at most once per obsFlushEvery packets or marker interval
+func (r *Resequencer) SyncObs() {
+	r.obsLag = 0
+	r.obs.PublishRecv(&r.led)
+}
+
+// syncSoon forces a publication at the end of the current call; cold
+// paths whose effects should be visible promptly use it.
+func (r *Resequencer) syncSoon() { r.obsLag = obsFlushEvery }
+
+// push buffers p at the tail of channel c.
+func (r *Resequencer) push(c int, p *packet.Packet) {
+	row := &r.led.PerChannel[c]
+	row.Buffered++
+	if p.Kind == packet.Data {
+		row.BufferedBytes += int64(p.Len())
 	}
-	return t
+	r.bufs[c].push(p)
+	r.occupy()
+}
+
+// occupy counts one more packet held, maintaining the exact high-water
+// mark.
+func (r *Resequencer) occupy() {
+	if r.led.Occupancy++; r.led.Occupancy > r.led.HighWater {
+		r.led.HighWater = r.led.Occupancy
+	}
+}
+
+// pop takes the head of channel c's buffer. The caller owes the packet
+// a fate in the ledger row: deliver, consumeMarker, or a named counter.
+func (r *Resequencer) pop(c int) (*packet.Packet, bool) {
+	p, ok := r.bufs[c].pop()
+	if ok {
+		row := &r.led.PerChannel[c]
+		row.Buffered--
+		if p.Kind == packet.Data {
+			row.BufferedBytes -= int64(p.Len())
+		}
+		r.led.Occupancy--
+	}
+	return p, ok
+}
+
+// deliver counts p, received on channel c, as handed to the
+// application, and feeds the displacement histogram and the tracer.
+func (r *Resequencer) deliver(c int, p *packet.Packet) {
+	row := &r.led.PerChannel[c]
+	row.Delivered++
+	row.DeliveredBytes += int64(p.Len())
+	r.obsLag++
+	if r.obs == nil {
+		return
+	}
+	var disp int64
+	if id := int64(p.ID); id >= r.maxSeenID {
+		r.maxSeenID = id
+	} else {
+		disp = r.maxSeenID - id
+	}
+	r.obs.Displaced(disp)
+	r.obs.TraceDeliver(traceKey(p), disp)
+}
+
+// consumeMarker gives a marker taken off channel c its fate: a
+// structurally valid marker addressed to c (condition C2: both ends
+// number the channels identically, so a disagreement is mis-wiring) is
+// counted and shown to the marker observer; anything else is a bad
+// marker. It returns the block and whether it was valid.
+func (r *Resequencer) consumeMarker(c int, p *packet.Packet) (packet.MarkerBlock, bool) {
+	m, err := packet.MarkerOf(p)
+	if err != nil || int(m.Channel) != c {
+		r.led.PerChannel[c].BadMarkers++
+		return m, false
+	}
+	r.led.PerChannel[c].Markers++
+	if r.onMarker != nil {
+		r.onMarker(c, m)
+	}
+	return m, true
 }
 
 // Arrive accepts a packet physically received on channel c. Packets are
@@ -345,77 +414,82 @@ func (r *Resequencer) Buffered() int {
 //
 //stripe:hotpath
 func (r *Resequencer) Arrive(c int, p *packet.Packet) {
+	if c < 0 || c >= r.n {
+		return // unknown channel: drop defensively
+	}
 	r.arrive(c, p)
-	if r.obs != nil {
-		r.obs.SetBuffered(int64(r.Buffered()))
+	if r.obsLag++; r.obsLag >= obsFlushEvery {
+		r.SyncObs()
 	}
 }
 
 func (r *Resequencer) arrive(c int, p *packet.Packet) {
-	if c < 0 || c >= r.n {
-		return // unknown channel: drop defensively
-	}
+	row := &r.led.PerChannel[c]
+	row.Arrived++
 	if p.Kind == packet.Data {
 		// Count every physical data arrival, delivered or not: the
 		// reconciliation identity loss = Sent − arrived needs the raw
 		// arrival position, and bytes later discarded (old epochs,
 		// overflow) must still be credited back to the sender.
-		r.arrivedOn[c] += int64(p.Len())
+		row.ArrivedBytes += int64(p.Len())
 		r.obs.TraceArrive(traceKey(p), c)
 	}
 	if r.resetting && !r.passed[c] {
 		// Waiting for this channel's reset boundary: everything before
 		// it belongs to the old epoch.
 		if p.Kind == packet.Reset && resetEpoch(p) == r.epoch {
+			row.Control++
 			r.passed[c] = true
 			if r.allPassed() {
 				r.resetting = false
 			}
 		} else {
-			r.stats.OldEpochDrops++
-			r.obs.OnOldEpochDrops(1)
+			row.OldEpochDrops++
 		}
 		return
 	}
-	if p.Kind == packet.Member {
+	switch {
+	case p.Kind == packet.Member:
 		// Membership announcements apply eagerly: they are full-bitmap and
 		// sequenced, so applying one out of stream order is harmless, and
 		// a draining channel keeps delivering until its buffer empties
 		// regardless of when the announcement was seen.
-		if m, err := packet.MemberOf(p); err == nil {
-			r.applyMember(m)
-			if int(m.N) == r.n && !m.ActiveChannel(c) {
-				// The block arrived on a channel it excludes: it is the
-				// departure's FIFO delimiter (or a later probe), so every
-				// packet the sender put on c before retiring the slot has
-				// already arrived. A draining c may now retire as soon as
-				// its buffer drains, losing nothing in flight.
-				r.delimited[c] = true
-				if r.leaving[c] && r.bufs[c].len() == 0 {
-					r.retire(c)
-				}
+		m, err := packet.MemberOf(p)
+		if err != nil || int(m.N) != r.n {
+			row.BadMembers++ // corrupt, or a foreign universe: mis-wired, do not apply
+			return
+		}
+		row.Control++
+		r.applyMember(m)
+		if !m.ActiveChannel(c) && m.Seq > r.joinSeq[c] {
+			// The block arrived on a channel it excludes: it is the
+			// departure's FIFO delimiter (or a later probe), so every
+			// packet the sender put on c before retiring the slot has
+			// already arrived. A draining c may now retire as soon as
+			// its buffer drains, losing nothing in flight. (A block no
+			// newer than c's last admission is a previous departure's
+			// delimiter, overtaken by a rejoin learned on another channel;
+			// it says nothing about the current incarnation's stream.)
+			r.delimited[c] = true
+			if r.leaving[c] && r.bufs[c].len() == 0 {
+				r.retire(c)
 			}
-		} else {
-			r.stats.BadMembers++
 		}
 		return
-	}
-	if p.Kind == packet.Telemetry {
+	case p.Kind == packet.Telemetry:
 		// Telemetry is advisory control traffic for the local sender; it
 		// never enters the delivery order or the simulation.
-		r.consumeTelemetry(p)
+		r.consumeTelemetry(c, p)
 		return
-	}
-	if p.Kind > packet.Telemetry {
+	case p.Kind > packet.Telemetry:
 		// Forward compatibility: an unrecognized codepoint from a newer
 		// peer is dropped here, before it can reach the buffers — the
 		// delivery scans would otherwise account it against the simulated
 		// schedulers and hand it to the application as data, desyncing
 		// the two ends over a packet the sender never striped.
-		r.stats.UnknownKinds++
+		row.UnknownKinds++
 		return
-	}
-	if p.Kind == packet.Marker {
+	case p.Kind == packet.Marker:
 		r.harvestMarker(c, p)
 	}
 	if r.left[c] {
@@ -424,87 +498,71 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 		// their piggybacked credits only, since the slot has no
 		// simulation state left to synchronize; resets must still apply
 		// so a rejoining channel cannot wedge epoch recovery.
-		switch p.Kind {
-		case packet.Data:
-			r.stats.MemberDrops++
-		case packet.Marker:
-			if m, err := packet.MarkerOf(p); err == nil {
-				r.stats.Markers++
-				r.obs.OnMarkerConsumed(c)
-				if r.onMarker != nil {
-					r.onMarker(c, m)
-				}
-			} else {
-				r.stats.BadMarkers++
-				r.obs.OnBadMarker()
-			}
-		case packet.Reset:
-			r.applyReset(c, p)
+		if p.Kind == packet.Data {
+			row.MemberDrops++
+		} else {
+			r.control(c, p)
 		}
 		return
 	}
-	switch r.mode {
-	case ModeNone:
-		switch p.Kind {
-		case packet.Data:
-			if r.enforceCap(c) {
-				return
-			}
-			// In arrival-order mode delivery is immediate, so the drain
-			// accounting used by flow control happens here.
-			r.deliveredOn[c] += int64(p.Len())
-			r.noteDelivered(c, p)
-			r.arrivq.push(p)
-		case packet.Marker:
-			if m, err := packet.MarkerOf(p); err == nil {
-				r.stats.Markers++
-				r.obs.OnMarkerConsumed(c)
-				if r.onMarker != nil {
-					r.onMarker(c, m)
-				}
-			} else {
-				r.stats.BadMarkers++
-				r.obs.OnBadMarker()
-			}
-		case packet.Reset:
-			r.applyReset(c, p)
-		}
-	default:
+	if r.mode != ModeNone {
 		if p.Kind != packet.Reset && r.enforceCap(c) {
 			return
 		}
-		r.bufs[c].push(p)
+		r.push(c, p)
 		if p.Kind == packet.Data {
 			r.obs.TraceBuffered(traceKey(p))
 		}
 		r.drainEagerMarkers(c)
+		return
+	}
+	// Arrival-order mode buffers nothing: control is consumed on the spot
+	// and delivery is immediate, so the drain accounting used by flow
+	// control happens here; the delivery queue only hands the packet over.
+	if p.Kind != packet.Data {
+		r.control(c, p)
+	} else if !r.enforceCap(c) {
+		r.deliver(c, p)
+		r.arrivq.push(p)
+		r.occupy()
 	}
 }
 
 // enforceCap implements the buffer memory bound. It reports whether an
-// arriving packet must be dropped outright (occupancy at twice the
-// cap), and crossing the cap itself flips the receiver into overflow
-// escalation: Next abandons strict order for the backlog until
-// occupancy falls to half the cap. Dropping at the hard cap is safe by
-// construction — to the protocol it is indistinguishable from channel
-// loss, which markers already recover from — and it is what a real
-// finite receive buffer does.
+// arriving packet must be dropped outright (occupancy at twice the cap;
+// the drop is counted here), and crossing the cap itself flips the
+// receiver into overflow escalation: Next abandons strict order for the
+// backlog until occupancy falls to half the cap. Dropping at the hard
+// cap is safe by construction — to the protocol it is indistinguishable
+// from channel loss, which markers already recover from — and it is what
+// a real finite receive buffer does.
 func (r *Resequencer) enforceCap(c int) (drop bool) {
 	if r.maxBuffered == 0 {
 		return false
 	}
 	total := r.Buffered()
 	if total >= 2*r.maxBuffered {
-		r.stats.OverflowDrops++
-		r.obs.OnReseqOverflow(c, int64(total), true)
+		r.led.PerChannel[c].OverflowDrops++
+		r.obs.Emit(obs.KindReseqOverflow, c, r.round(), -int64(total))
+		r.syncSoon()
 		return true
 	}
 	if total >= r.maxBuffered && !r.overflow {
 		r.overflow = true
-		r.stats.Overflows++
-		r.obs.OnReseqOverflow(c, int64(total), false)
+		r.led.Overflows++
+		r.obs.Emit(obs.KindReseqOverflow, c, r.round(), int64(total))
+		r.syncSoon()
 	}
 	return false
+}
+
+// round is the simulation's global round, for event context (zero for
+// round-less disciplines).
+func (r *Resequencer) round() uint64 {
+	if r.s == nil {
+		return 0
+	}
+	return r.s.Round()
 }
 
 // drainEagerMarkers consumes control packets sitting at the head of
@@ -522,20 +580,12 @@ func (r *Resequencer) drainEagerMarkers(c int) {
 		}
 		switch p.Kind {
 		case packet.Marker:
-			r.bufs[c].pop()
-			m, err := packet.MarkerOf(p)
-			if err != nil {
-				r.stats.BadMarkers++
-				r.obs.OnBadMarker()
+			r.pop(c)
+			m, ok := r.consumeMarker(c, p)
+			if !ok {
 				continue
 			}
-			r.stats.Markers++
-			r.stats.EagerMarkers++
-			r.obs.OnMarkerConsumed(c)
-			r.obs.OnMarkerDrained(c)
-			if r.onMarker != nil {
-				r.onMarker(c, m)
-			}
+			r.led.PerChannel[c].EagerMarkers++
 			if r.mode == ModeLogical && r.s != nil {
 				// Applying scheduler state here would happen at an
 				// arbitrary simulation position; stage it instead for the
@@ -548,29 +598,12 @@ func (r *Resequencer) drainEagerMarkers(c int) {
 			}
 		case packet.Credit:
 			// Credits belong on the reverse path; tolerate and drop.
-			r.bufs[c].pop()
+			r.pop(c)
+			r.led.PerChannel[c].Control++
 		default:
 			return
 		}
 	}
-}
-
-// noteDelivered records a delivery with the observability layer. It
-// does not touch the ResequencerStats counters; callers keep their
-// existing accounting (ModeNone, notably, counts delivery at Arrive
-// time and never increments stats.Delivered).
-func (r *Resequencer) noteDelivered(c int, p *packet.Packet) {
-	if r.obs == nil {
-		return
-	}
-	var disp int64
-	if id := int64(p.ID); id >= r.maxSeenID {
-		r.maxSeenID = id
-	} else {
-		disp = r.maxSeenID - id
-	}
-	r.obs.OnDelivered(c, p.Len(), disp)
-	r.obs.TraceDeliver(traceKey(p), disp)
 }
 
 // traceKey is a packet's lifecycle-tracing identity: the explicit
@@ -601,8 +634,8 @@ func (r *Resequencer) WaitingOn() int {
 //stripe:hotpath
 func (r *Resequencer) Next() (*packet.Packet, bool) {
 	p, ok := r.next()
-	if r.obs != nil {
-		r.obs.SetBuffered(int64(r.Buffered()))
+	if r.obsLag >= obsFlushEvery || (!ok && r.obsLag > 0) {
+		r.SyncObs()
 	}
 	return p, ok
 }
@@ -632,8 +665,8 @@ func (r *Resequencer) NextBatch(dst []*packet.Packet) int {
 			n += r.drainRun(dst[n:])
 		}
 	}
-	if r.obs != nil {
-		r.obs.SetBuffered(int64(r.Buffered()))
+	if r.obsLag >= obsFlushEvery || (n == 0 && r.obsLag > 0) {
+		r.SyncObs()
 	}
 	return n
 }
@@ -656,12 +689,9 @@ func (r *Resequencer) drainRun(dst []*packet.Packet) int {
 		if !ok || p.Kind != packet.Data {
 			break
 		}
-		r.bufs[c].pop()
+		r.pop(c)
 		r.s.Account(p.Len())
-		r.stats.Delivered++
-		r.stats.DeliveredBytes += int64(p.Len())
-		r.deliveredOn[c] += int64(p.Len())
-		r.noteDelivered(c, p)
+		r.deliver(c, p)
 		dst[n] = p
 		n++
 	}
@@ -692,7 +722,11 @@ func (r *Resequencer) next() (*packet.Packet, bool) {
 func (r *Resequencer) dispatch() (*packet.Packet, bool) {
 	switch r.mode {
 	case ModeNone:
-		return r.arrivq.pop()
+		p, ok := r.arrivq.pop()
+		if ok {
+			r.led.Occupancy--
+		}
+		return p, ok
 	case ModeSequence:
 		return r.nextSequence()
 	default:
@@ -735,15 +769,7 @@ func (r *Resequencer) forceAdvance() bool {
 			}
 		}
 		if ch == -1 {
-			// Only control packets remain; consume them.
-			advanced := false
-			for c := 0; c < r.n; c++ {
-				for r.bufs[c].len() > 0 {
-					r.bufs[c].pop()
-					advanced = true
-				}
-			}
-			return advanced
+			return false // the scan already consumed every control head
 		}
 		r.nextSeq = min
 		return true
@@ -761,33 +787,14 @@ func (r *Resequencer) nextCausal() (*packet.Packet, bool) {
 		if !ok {
 			return nil, false
 		}
-		switch p.Kind {
-		case packet.Marker:
-			r.bufs[c].pop()
-			if m, err := packet.MarkerOf(p); err == nil {
-				r.stats.Markers++
-				r.obs.OnMarkerConsumed(c)
-				if r.onMarker != nil {
-					r.onMarker(c, m)
-				}
-			} else {
-				r.stats.BadMarkers++
-				r.obs.OnBadMarker()
-			}
-		case packet.Reset:
-			r.bufs[c].pop()
-			r.applyReset(c, p)
-		case packet.Credit:
-			r.bufs[c].pop()
-		default:
-			r.bufs[c].pop()
-			r.cs.Account(p.Len())
-			r.stats.Delivered++
-			r.stats.DeliveredBytes += int64(p.Len())
-			r.deliveredOn[c] += int64(p.Len())
-			r.noteDelivered(c, p)
-			return p, true
+		if p.Kind != packet.Data {
+			r.consumeControl(c)
+			continue
 		}
+		r.pop(c)
+		r.cs.Account(p.Len())
+		r.deliver(c, p)
+		return p, true
 	}
 }
 
@@ -800,8 +807,8 @@ func (r *Resequencer) nextCausal() (*packet.Packet, bool) {
 //stripe:hotpath
 func (r *Resequencer) skipRule(c int) bool {
 	if r.marked[c] && r.expect[c] > r.s.Round() {
-		r.stats.Skips++
-		r.obs.OnSkip(c, r.s.Round())
+		r.led.PerChannel[c].Skips++
+		r.obs.Emit(obs.KindSkip, c, r.s.Round(), 0)
 		return true
 	}
 	return false
@@ -833,8 +840,8 @@ func (r *Resequencer) maybeFastForward() {
 	}
 	from := r.s.Round()
 	r.s.AdvanceRoundTo(min)
-	r.stats.FastForwards++
-	r.obs.OnFastForward(from, min)
+	r.led.FastForwards++
+	r.obs.Emit(obs.KindFastForward, -1, from, int64(min-from))
 }
 
 func (r *Resequencer) nextLogical() (*packet.Packet, bool) {
@@ -854,65 +861,55 @@ func (r *Resequencer) nextLogical() (*packet.Packet, bool) {
 		}
 		p, ok := r.bufs[c].peek()
 		if !ok {
-			if r.leaving[c] {
-				// The simulation is blocked on a draining channel: what it
-				// still expects from c is lost, or would arrive only after
-				// this point in the delivery order. Retire rather than
-				// wedge — the delimiter path retires losslessly whenever
-				// it wins this race.
-				r.retire(c)
-				continue
-			}
 			// Logical reception blocks here until channel c produces the
-			// packet the simulation says comes next.
+			// packet the simulation says comes next. That holds for a
+			// draining c too: an empty buffer is not evidence the link is
+			// dead — its tail may simply be in flight behind the survivors'
+			// announcements — so only c's own delimiter or a local
+			// RemoveChannel retires the slot (see sweepLeaving).
 			return nil, false
 		}
-		switch p.Kind {
-		case packet.Marker:
-			r.bufs[c].pop()
-			m, err := packet.MarkerOf(p)
-			if err != nil {
-				r.stats.BadMarkers++
-				r.obs.OnBadMarker()
-				continue
+		if p.Kind != packet.Data {
+			if m, ok := r.consumeControl(c); ok {
+				r.applyMarker(c, m)
 			}
-			r.stats.Markers++
-			r.obs.OnMarkerConsumed(c)
-			if r.onMarker != nil {
-				r.onMarker(c, m)
-			}
-			r.applyMarker(c, m)
-		case packet.Reset:
-			r.bufs[c].pop()
-			r.applyReset(c, p)
-		case packet.Credit:
-			// Credits belong on the reverse path; tolerate and drop.
-			r.bufs[c].pop()
-		default:
-			r.bufs[c].pop()
-			r.s.Account(p.Len())
-			r.stats.Delivered++
-			r.stats.DeliveredBytes += int64(p.Len())
-			r.deliveredOn[c] += int64(p.Len())
-			r.noteDelivered(c, p)
-			return p, true
+			continue
 		}
+		r.pop(c)
+		r.s.Account(p.Len())
+		r.deliver(c, p)
+		return p, true
 	}
 }
 
-// applyMarker adopts the sender state (r_c, DC_c) carried by a marker
-// for channel c. It is invoked from the scan, where channel c is the
-// one under service, so the receiver may be mid-service of c.
-func (r *Resequencer) applyMarker(c int, m packet.MarkerBlock) {
-	// Condition C2: adopt the sender's numbering of the channel. The
-	// engines index channels identically by construction, so a
-	// disagreement indicates mis-wiring; the marker is ignored rather
-	// than corrupting another channel's state.
-	if int(m.Channel) != c {
-		r.stats.BadMarkers++
-		r.obs.OnBadMarker()
-		return
+// consumeControl takes the control packet at the head of channel c's
+// buffer and gives it its fate. A valid marker is returned so the
+// logical scan can apply its scheduler state.
+func (r *Resequencer) consumeControl(c int) (packet.MarkerBlock, bool) {
+	p, _ := r.pop(c)
+	return r.control(c, p)
+}
+
+// control gives a control packet from channel c, held in no buffer, its
+// fate: markers are consumed (and returned when valid), resets applied,
+// and anything else — credits belong on the reverse path — tolerated
+// and dropped.
+func (r *Resequencer) control(c int, p *packet.Packet) (packet.MarkerBlock, bool) {
+	if p.Kind == packet.Marker {
+		return r.consumeMarker(c, p)
 	}
+	r.led.PerChannel[c].Control++
+	if p.Kind == packet.Reset {
+		r.applyReset(c, p)
+	}
+	return packet.MarkerBlock{}, false
+}
+
+// applyMarker adopts the sender state (r_c, DC_c) carried by a valid
+// marker for channel c (consumeMarker has checked the addressing). It
+// is invoked from the scan, where channel c is the one under service,
+// so the receiver may be mid-service of c.
+func (r *Resequencer) applyMarker(c int, m packet.MarkerBlock) {
 	g := r.s.Round()
 	switch {
 	case m.Round > g:
@@ -926,9 +923,7 @@ func (r *Resequencer) applyMarker(c int, m packet.MarkerBlock) {
 			r.s.SetDeficit(c, m.Deficit)
 		}
 		if !r.marked[c] || r.expect[c] != m.Round {
-			r.stats.Resyncs++
-			r.resyncsOn[c]++
-			r.obs.OnResync(c, m.Round, m.Deficit)
+			r.resynced(c, m.Round, m.Deficit)
 		}
 		r.marked[c] = true
 		r.expect[c] = m.Round
@@ -941,9 +936,7 @@ func (r *Resequencer) applyMarker(c int, m packet.MarkerBlock) {
 			d += r.s.QuantumOf(c)
 		}
 		if r.s.Deficit(c) != d {
-			r.stats.Resyncs++
-			r.resyncsOn[c]++
-			r.obs.OnResync(c, m.Round, d)
+			r.resynced(c, m.Round, d)
 			r.s.SetDeficit(c, d)
 		}
 		r.marked[c] = true
@@ -967,12 +960,18 @@ func (r *Resequencer) applyMarker(c int, m packet.MarkerBlock) {
 		}
 		r.staleCount++
 		if r.staleCount >= 2*r.n && r.allStale() {
-			r.selfHeal()
+			r.selfHeal(c)
 		}
 		return
 	}
 	// A current or future marker clears the self-stabilization alarm.
 	r.clearStale()
+}
+
+// resynced counts a resynchronization attributed to channel c.
+func (r *Resequencer) resynced(c int, round uint64, value int64) {
+	r.led.PerChannel[c].Resyncs++
+	r.obs.Emit(obs.KindResync, c, round, value)
 }
 
 func (r *Resequencer) allStale() bool {
@@ -998,9 +997,11 @@ func (r *Resequencer) clearStale() {
 // markers: the receiver restarts its simulation at the earliest round
 // any channel expects, with every channel's deficit and expected round
 // taken from its marker, and lets the ordinary skip rule do the rest.
+// The heal is also a resync, attributed to the channel whose marker
+// completed the evidence.
 //
 //stripe:allowescape cold self-stabilization path: fires only after healGap-stale markers on every channel, and restoring scheduler state allocates
-func (r *Resequencer) selfHeal() {
+func (r *Resequencer) selfHeal(by int) {
 	min, have := uint64(0), false
 	for c, v := range r.staleRound {
 		if r.left[c] {
@@ -1026,9 +1027,9 @@ func (r *Resequencer) selfHeal() {
 		r.marked[c] = true
 		r.expect[c] = r.staleRound[c]
 	}
-	r.stats.SelfHeals++
-	r.stats.Resyncs++
-	r.obs.OnSelfHeal(min)
+	r.led.SelfHeals++
+	r.led.PerChannel[by].Resyncs++
+	r.obs.Emit(obs.KindSelfHeal, -1, min, 0)
 	r.clearStale()
 }
 
@@ -1048,59 +1049,27 @@ scan:
 			}
 			p, ok := r.bufs[c].peek()
 			if !ok {
-				if r.leaving[c] {
-					// Same rule as the logical scan: a draining channel the
-					// sequence scan is out of heads for must not wedge it.
-					r.retire(c)
-					continue scan
-				}
+				// An empty draining channel blocks the gap decision like any
+				// other: its tail may still be in flight (see nextLogical).
 				allHeads = false
 				continue
 			}
-			switch p.Kind {
-			case packet.Data:
-				if !p.HasSeq {
-					// Not stamped: cannot be ordered; deliver eagerly.
-					r.bufs[c].pop()
-					r.stats.Delivered++
-					r.stats.DeliveredBytes += int64(p.Len())
-					r.deliveredOn[c] += int64(p.Len())
-					r.noteDelivered(c, p)
-					return p, true
-				}
-				if p.Seq == r.nextSeq {
-					r.bufs[c].pop()
+			if p.Kind != packet.Data {
+				r.consumeControl(c)
+				continue scan
+			}
+			// Unstamped data cannot be ordered; deliver it eagerly.
+			if !p.HasSeq || p.Seq == r.nextSeq {
+				if p.HasSeq {
 					r.nextSeq++
-					r.stats.Delivered++
-					r.stats.DeliveredBytes += int64(p.Len())
-					r.deliveredOn[c] += int64(p.Len())
-					r.noteDelivered(c, p)
-					return p, true
 				}
-				if minCh == -1 || p.Seq < minSeq {
-					minSeq = p.Seq
-					minCh = c
-				}
-			case packet.Marker:
-				r.bufs[c].pop()
-				if m, err := packet.MarkerOf(p); err == nil {
-					r.stats.Markers++
-					r.obs.OnMarkerConsumed(c)
-					if r.onMarker != nil {
-						r.onMarker(c, m)
-					}
-				} else {
-					r.stats.BadMarkers++
-					r.obs.OnBadMarker()
-				}
-				continue scan
-			case packet.Reset:
-				r.bufs[c].pop()
-				r.applyReset(c, p)
-				continue scan
-			default:
-				r.bufs[c].pop()
-				continue scan
+				r.pop(c)
+				r.deliver(c, p)
+				return p, true
+			}
+			if minCh == -1 || p.Seq < minSeq {
+				minSeq = p.Seq
+				minCh = c
 			}
 		}
 		if !allHeads {
@@ -1114,9 +1083,7 @@ scan:
 		}
 		// Every channel has a data head and all exceed nextSeq: the gap
 		// [nextSeq, minSeq) was lost. Declare it and resume at minSeq.
-		r.stats.Resyncs++
-		r.resyncsOn[minCh]++
-		r.obs.OnResync(minCh, 0, int64(minSeq))
+		r.resynced(minCh, 0, int64(minSeq))
 		r.nextSeq = minSeq
 	}
 }
@@ -1129,8 +1096,9 @@ func (r *Resequencer) applyReset(c int, p *packet.Packet) {
 	}
 	r.epoch = e
 	r.resetting = true
-	r.stats.Resets++
-	r.obs.OnReset(e)
+	r.led.Resets++
+	r.obs.Emit(obs.KindReset, -1, r.round(), int64(e))
+	r.syncSoon()
 	for i := range r.passed {
 		r.passed[i] = false
 		r.marked[i] = false
@@ -1145,6 +1113,9 @@ func (r *Resequencer) applyReset(c int, p *packet.Packet) {
 	if r.cs != nil {
 		r.cs.Restore(r.csInit.Clone())
 	}
+	// Arrival-order mode counted its queued packets delivered at Arrive;
+	// they leave the occupancy with the queue.
+	r.led.Occupancy -= int64(r.arrivq.len())
 	r.arrivq.clear()
 	// The channel the reset arrived on is past its boundary; the others
 	// flush buffered old-epoch packets, keeping anything after their own
@@ -1155,16 +1126,16 @@ func (r *Resequencer) applyReset(c int, p *packet.Packet) {
 			continue
 		}
 		for {
-			q, ok := r.bufs[i].pop()
+			q, ok := r.pop(i)
 			if !ok {
 				break
 			}
 			if q.Kind == packet.Reset && resetEpoch(q) == e {
+				r.led.PerChannel[i].Control++
 				r.passed[i] = true
 				break
 			}
-			r.stats.OldEpochDrops++
-			r.obs.OnOldEpochDrops(1)
+			r.led.PerChannel[i].OldEpochDrops++
 		}
 	}
 	// Channels outside the live set never carry the new epoch's reset
@@ -1225,19 +1196,10 @@ func (r *Resequencer) Drain() []*packet.Packet {
 type pktFIFO struct {
 	buf  []*packet.Packet
 	head int
-	// dataBytes tracks the payload bytes of buffered Data packets, so
-	// flow-control reconciliation can read per-channel buffered bytes in
-	// O(1).
-	dataBytes int64
 }
 
 //stripe:allowescape buffer growth is amortized O(1): append doubles capacity, and the backing array is reused after drain
-func (f *pktFIFO) push(p *packet.Packet) {
-	if p.Kind == packet.Data {
-		f.dataBytes += int64(len(p.Payload))
-	}
-	f.buf = append(f.buf, p)
-}
+func (f *pktFIFO) push(p *packet.Packet) { f.buf = append(f.buf, p) }
 
 func (f *pktFIFO) len() int { return len(f.buf) - f.head }
 
@@ -1253,9 +1215,6 @@ func (f *pktFIFO) pop() (*packet.Packet, bool) {
 		return nil, false
 	}
 	p := f.buf[f.head]
-	if p.Kind == packet.Data {
-		f.dataBytes -= int64(len(p.Payload))
-	}
 	f.buf[f.head] = nil
 	f.head++
 	if f.head == len(f.buf) {
@@ -1275,5 +1234,4 @@ func (f *pktFIFO) pop() (*packet.Packet, bool) {
 func (f *pktFIFO) clear() {
 	f.buf = f.buf[:0]
 	f.head = 0
-	f.dataBytes = 0
 }

@@ -51,9 +51,9 @@ type StriperConfig struct {
 	// *reverse* direction's channel c — the paper's observation that
 	// credits piggyback naturally on the periodic marker traffic.
 	MarkerCredits func(c int) uint64
-	// Obs, when non-nil, receives per-channel metrics and protocol
-	// events. A nil collector disables instrumentation at the cost of
-	// one pointer test per packet.
+	// Obs, when non-nil, is published the send ledger at every flush (see
+	// SyncObs) and sent protocol events. A nil collector disables
+	// instrumentation at the cost of one pointer test per packet.
 	Obs *obs.Collector
 	// Now supplies the sender clock (nanoseconds) stamped into each
 	// marker's TxNs field for the peer telemetry plane's one-way delay
@@ -147,22 +147,17 @@ type Striper struct {
 	pendingJoin  []uint64 // announced join round per slot awaiting its round boundary (0 = none)
 	pendingJoins int      // count of non-zero pendingJoin entries
 
-	// Counters.
-	sentData    int64
-	sentBytes   int64
-	sentMarkers int64
-	sentOn      []int64 // data bytes per channel
-	sentPktsOn  []int64 // data packets per channel
-
-	// Observability batching: the hot path only touches these plain
-	// fields; SyncObs publishes them to the collector's atomics at
-	// marker cadence (or every obsFlushEvery packets as a backstop).
-	obsMaxLen int
-	obsLag    int
+	// led is the send ledger, the only count of every sender event: the
+	// hot path touches only these plain fields, and SyncObs publishes them
+	// to the collector at marker cadence (or every obsFlushEvery packets
+	// as a backstop).
+	led    StriperStats
+	obsLag int
 }
 
-// obsFlushEvery bounds how many packets the collector's counters may
-// lag behind the striper when markers are infrequent or disabled.
+// obsFlushEvery bounds how many packets the collector's published
+// ledgers may lag behind the engines when markers are infrequent or
+// disabled.
 const obsFlushEvery = 64
 
 // NewStriper validates the configuration and returns a sender engine.
@@ -208,8 +203,7 @@ func NewStriper(cfg StriperConfig) (*Striper, error) {
 		st.cs = cfg.CausalSched
 		st.csInit = st.cs.Snapshot().Clone()
 	}
-	st.sentOn = make([]int64, len(st.out))
-	st.sentPktsOn = make([]int64, len(st.out))
+	st.led.PerChannel = make([]ChannelLoad, len(st.out))
 	st.batchOut = make([]channel.BatchSender, len(st.out))
 	for c, ch := range st.out {
 		st.batchOut[c], _ = ch.(channel.BatchSender)
@@ -227,9 +221,9 @@ func NewStriper(cfg StriperConfig) (*Striper, error) {
 	st.activeN = len(st.out)
 	st.errStreak = make([]int64, len(st.out))
 	st.pendingJoin = make([]uint64, len(st.out))
-	if st.obs != nil && st.rb != nil {
+	if st.rb != nil {
 		for c := range st.out {
-			st.obs.SetQuantum(c, st.rb.QuantumOf(c))
+			st.led.PerChannel[c].Quantum = st.rb.QuantumOf(c)
 		}
 	}
 	if st.policy.Every != 0 {
@@ -250,19 +244,10 @@ func (st *Striper) Round() uint64 {
 	return st.rb.Round()
 }
 
-// SentData returns the number of data packets transmitted.
-func (st *Striper) SentData() int64 { return st.sentData }
-
-// SentBytes returns the number of data payload bytes transmitted.
-func (st *Striper) SentBytes() int64 { return st.sentBytes }
-
-// SentMarkers returns the number of marker packets transmitted.
-func (st *Striper) SentMarkers() int64 { return st.sentMarkers }
-
 // SentOn returns the data packets and payload bytes sent on channel c,
 // for load-sharing observability.
 func (st *Striper) SentOn(c int) (packets, bytes int64) {
-	return st.sentPktsOn[c], st.sentOn[c]
+	return st.led.PerChannel[c].Packets, st.led.PerChannel[c].Bytes
 }
 
 // maybeEmitMarkers cuts a marker batch if one is due and the automaton
@@ -330,7 +315,7 @@ func (st *Striper) emitBatch() {
 		if !st.active[c] {
 			continue
 		}
-		mb := packet.MarkerBlock{Channel: uint32(c), Sent: uint64(st.sentOn[c])}
+		mb := packet.MarkerBlock{Channel: uint32(c), Sent: uint64(st.led.PerChannel[c].Bytes)}
 		if j := st.pendingJoin[c]; j != 0 {
 			// A joined slot awaiting its round boundary has an exact
 			// implicit position already: first service at the join round
@@ -353,9 +338,8 @@ func (st *Striper) emitBatch() {
 		}
 		mb.TxNs = txNs
 		if err := st.out[c].Send(packet.NewMarker(mb)); err == nil {
-			st.sentMarkers++
+			st.led.PerChannel[c].Markers++
 			st.errStreak[c] = 0
-			st.obs.OnMarkerEmitted(c)
 		} else {
 			st.errStreak[c]++
 		}
@@ -369,31 +353,30 @@ func (st *Striper) emitBatch() {
 	}
 }
 
-// SyncObs publishes the striper's counters, the round gauge, and the
-// per-channel surplus gauges to the attached collector. It runs every
-// obsFlushEvery packets, from the timer-driven EmitMarkers path, and
+// SyncObs refreshes the send ledger's gauges (round, epoch, per-channel
+// surplus, remaining credit and membership) and publishes the ledger to
+// the attached collector. It runs every obsFlushEvery packets, from the
+// timer-driven EmitMarkers path, on membership changes and resets, and
 // from Stats/Snapshot, so scrapes lag a loaded sender by at most
 // obsFlushEvery packets and an idle one by at most a marker interval.
-// Flushing the round and byte counters together also keeps the derived
-// fairness gauge consistent for the flushed prefix.
+// Publishing the round and byte counters together also keeps the
+// derived fairness gauge consistent for the flushed prefix.
 //
-//stripe:allowescape publishes batched counters and runs invariant checks (which lock) at most once per obsFlushEvery packets or marker interval
+//stripe:allowescape publishes the ledger and runs invariant checks (which lock) at most once per obsFlushEvery packets or marker interval
 func (st *Striper) SyncObs() {
-	if st.obs == nil {
-		return
-	}
 	st.obsLag = 0
-	for c := range st.out {
-		st.obs.SyncStriped(c, st.sentPktsOn[c], st.sentOn[c])
+	st.led.Round, st.led.Epoch = st.Round(), st.epoch
+	for c := range st.led.PerChannel {
+		row := &st.led.PerChannel[c]
+		row.Removed = !st.active[c]
 		if st.rb != nil {
-			st.obs.SetSurplus(c, st.rb.Deficit(c))
+			row.Surplus = st.rb.Deficit(c)
+		}
+		if st.creditRem != nil {
+			row.CreditRemaining = st.creditRem.Remaining(c)
 		}
 	}
-	st.obs.SetMaxPacket(int64(st.obsMaxLen))
-	if st.rb != nil {
-		st.obs.SetRound(st.rb.Round())
-	}
-	st.obs.RunChecks()
+	st.obs.PublishSend(&st.led)
 }
 
 // Send stripes one data packet: a batch of one, so flow-control
@@ -457,7 +440,8 @@ func (st *Striper) sendRun(pkts []*packet.Packet) (int, error) {
 	st.maybeEmitMarkers()
 	c := st.s.Select()
 	if st.gate != nil && !st.gate.Admit(c, pkts[0].Len()) {
-		st.obs.OnCreditExhausted(c, pkts[0].Len())
+		st.led.PerChannel[c].BlockedSends++
+		st.obs.Emit(obs.KindCreditExhausted, c, st.Round(), int64(pkts[0].Len()))
 		// The packet has no identity yet (ID/Seq are stamped on the
 		// successful send), so trace under the identity it will get.
 		if st.addSeq {
@@ -527,31 +511,19 @@ func (st *Striper) sendRun(pkts []*packet.Packet) (int, error) {
 
 	// Commit exactly the accepted prefix. Everything additive — counters,
 	// gate consumption, scheduler cost — is charged in bulk; only traces
-	// are inherently per packet. A fully accepted predicted run takes
-	// the scheduler's one-step AccountCost (state-identical, see
+	// are inherently per packet, and the ledger's plain fields are
+	// published only in SyncObs. A fully accepted predicted run takes the
+	// scheduler's one-step AccountCost (state-identical, see
 	// bulkAccounter); a partial prefix falls back to per-packet Account
 	// since the prediction's no-interior-advance guarantee covered the
 	// whole run, not the prefix.
 	if sent > 0 {
 		var runBytes int64
-		if st.obs != nil {
-			for i := 0; i < sent; i++ {
-				p := pkts[i]
-				runBytes += int64(p.Len())
-				// No atomics here: accounting stays in the striper's plain
-				// fields and is published in SyncObs, so an active
-				// collector costs two plain-field updates per packet.
-				if p.Len() > st.obsMaxLen {
-					st.obsMaxLen = p.Len()
-				}
-				st.obs.TraceSend(traceKey(p), c)
-			}
-			if st.obsLag += sent; st.obsLag >= obsFlushEvery {
-				st.SyncObs()
-			}
-		} else {
-			for i := 0; i < sent; i++ {
-				runBytes += int64(pkts[i].Len())
+		for i := 0; i < sent; i++ {
+			n := int64(pkts[i].Len())
+			runBytes += n
+			if n > st.led.MaxPacket {
+				st.led.MaxPacket = n
 			}
 		}
 		st.errStreak[c] = 0
@@ -563,15 +535,21 @@ func (st *Striper) sendRun(pkts []*packet.Packet) (int, error) {
 		if st.gate != nil {
 			st.gate.Consume(c, int(runBytes))
 		}
-		st.sentData += int64(sent)
-		st.sentBytes += runBytes
-		st.sentOn[c] += runBytes
-		st.sentPktsOn[c] += int64(sent)
+		st.led.PerChannel[c].Packets += int64(sent)
+		st.led.PerChannel[c].Bytes += runBytes
 		if sent == m && st.bulkAcct != nil && st.coster != nil {
 			st.bulkAcct.AccountCost(runCost)
 		} else {
 			for i := 0; i < sent; i++ {
 				st.s.Account(pkts[i].Len())
+			}
+		}
+		if st.obs != nil {
+			for i := 0; i < sent; i++ {
+				st.obs.TraceSend(traceKey(pkts[i]), c)
+			}
+			if st.obsLag += sent; st.obsLag >= obsFlushEvery {
+				st.SyncObs()
 			}
 		}
 	}
@@ -618,46 +596,36 @@ func (st *Striper) Reset() error {
 		st.cs.Restore(st.csInit.Clone())
 	}
 	st.nextMark = st.policy.Every
+	st.led.Resets++
+	// The automaton restarts at round zero, so every channel's fairness
+	// baseline restarts with it.
+	for c := range st.led.PerChannel {
+		row := &st.led.PerChannel[c]
+		row.JoinRound, row.JoinBytes = 0, row.Bytes
+	}
 	st.SyncObs()
-	st.obs.OnReset(st.epoch)
+	st.obs.Emit(obs.KindReset, -1, st.Round(), int64(st.epoch))
 	return firstErr
 }
 
 // Epoch returns the current reset epoch.
 func (st *Striper) Epoch() uint64 { return st.epoch }
 
-// ChannelLoad is the data load placed on one channel.
-type ChannelLoad struct {
-	Packets int64
-	Bytes   int64
-}
+// ChannelLoad is one channel's row of the send ledger: the data load
+// placed on it, its marker and blocked-send counts, and its gauges.
+type ChannelLoad = obs.SendChannel
 
-// StriperStats is a copy of the sender counters, the transmit-side
-// mirror of ResequencerStats.
-type StriperStats struct {
-	DataPackets int64 // data packets transmitted
-	DataBytes   int64 // data payload bytes transmitted
-	Markers     int64 // marker packets transmitted
-	Round       uint64
-	Epoch       uint64
-	PerChannel  []ChannelLoad // data load striped onto each channel
-}
+// StriperStats is the send ledger, the transmit-side mirror of
+// ResequencerStats. See obs.SendLedger for the fields.
+type StriperStats = obs.SendLedger
 
-// Stats returns a copy of the sender counters. It also flushes the
-// batched observability counters, so a Stats call brings an attached
+// Stats returns a copy of the send ledger with its totals summed. It
+// also publishes the ledger, so a Stats call brings an attached
 // collector fully up to date.
 func (st *Striper) Stats() StriperStats {
 	st.SyncObs()
-	s := StriperStats{
-		DataPackets: st.sentData,
-		DataBytes:   st.sentBytes,
-		Markers:     st.sentMarkers,
-		Round:       st.Round(),
-		Epoch:       st.epoch,
-		PerChannel:  make([]ChannelLoad, len(st.out)),
-	}
-	for c := range st.out {
-		s.PerChannel[c] = ChannelLoad{Packets: st.sentPktsOn[c], Bytes: st.sentOn[c]}
-	}
+	s := st.led
+	s.PerChannel = append([]ChannelLoad(nil), st.led.PerChannel...)
+	s.Sum()
 	return s
 }

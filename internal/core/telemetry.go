@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"stripe/internal/obs"
 	"stripe/internal/packet"
 )
 
@@ -13,43 +14,48 @@ import (
 // which is why PeerView only interprets cross-channel differences.
 func nowNs() int64 { return time.Now().UnixNano() }
 
-// harvestMarker records the telemetry-plane observables carried by a
-// physical marker arrival on channel c: the (sender tx, receiver rx)
-// timestamp pair that is one one-way delay sample, and the exact
-// cumulative loss implied by the marker's authoritative Sent position
-// (channels are FIFO, so every byte Sent counts has either arrived —
-// arrivedOn counted it — or is lost). It runs at arrival rather than
-// consumption because arrival time is the delay sample's semantics and
-// a marker buffered behind data must still update the loss view
-// promptly; the consume paths keep all counter and error accounting.
+// harvestMarker records in channel c's ledger row what a physical
+// marker arrival proves: the arrival stamp the silence rule and the
+// windowed rollup read, the (sender tx, receiver rx) timestamp pair that
+// is one one-way delay sample, and the exact cumulative loss implied by
+// the marker's authoritative Sent position (channels are FIFO, so every
+// byte Sent counts has either arrived — ArrivedBytes counted it — or is
+// lost). It runs at arrival rather than consumption because arrival
+// time is the delay sample's semantics and a marker buffered behind
+// data must still update the loss view promptly; the consume paths give
+// the marker its fate.
 //
 //stripe:allowescape marker-cadence only, and the decode's magic-string check is compiler-elided; the valid-marker path is allocation-free
 func (r *Resequencer) harvestMarker(c int, p *packet.Packet) {
 	m, err := packet.DecodeMarker(p.Payload)
 	if err != nil || int(m.Channel) != c {
-		return // the consume path counts and reports the corruption
+		return // the consume path counts the corruption
 	}
+	row := &r.led.PerChannel[c]
+	row.LastMarkerAt = obs.Now()
 	if m.TxNs != 0 {
-		r.markerTxNs[c] = m.TxNs
-		r.markerRxNs[c] = r.now()
+		row.MarkerTxNs = m.TxNs
+		row.MarkerRxNs = r.now()
 	}
-	if lost := int64(m.Sent) - r.arrivedOn[c]; lost > r.peerLost[c] {
-		r.peerLost[c] = lost
+	if lost := int64(m.Sent) - row.ArrivedBytes; lost > row.LostBytes {
+		r.obs.Emit(obs.KindCreditReconcile, c, r.round(), lost-row.LostBytes)
+		row.LostBytes = lost
+		row.LossMarkers++
 	}
 }
 
-// consumeTelemetry hands an arriving telemetry block to the configured
-// observer. Telemetry is advisory: a corrupt block is dropped, and
-// without an observer the block is counted and discarded.
+// consumeTelemetry hands a telemetry block arriving on channel c to the
+// configured observer. Telemetry is advisory: a corrupt block is
+// dropped, and without an observer the block is counted and discarded.
 //
 //stripe:allowescape control-cadence only (one block per peer marker interval), and decoding a telemetry block allocates its channel slice
-func (r *Resequencer) consumeTelemetry(p *packet.Packet) {
+func (r *Resequencer) consumeTelemetry(c int, p *packet.Packet) {
 	t, err := packet.TelemetryOf(p)
 	if err != nil {
-		r.stats.BadTelemetry++
+		r.led.PerChannel[c].BadTelemetry++
 		return
 	}
-	r.stats.Telemetry++
+	r.led.PerChannel[c].Telemetry++
 	if r.onTelemetry != nil {
 		r.onTelemetry(t)
 	}
@@ -72,13 +78,14 @@ func (r *Resequencer) TelemetryBlock() packet.TelemetryBlock {
 		MaxBuffered: int64(r.maxBuffered),
 		Channels:    make([]packet.TelemetryChannel, r.n),
 	}
-	for c := 0; c < r.n; c++ {
+	for c := range t.Channels {
+		row := &r.led.PerChannel[c]
 		t.Channels[c] = packet.TelemetryChannel{
-			Delivered:  r.deliveredOn[c],
-			Lost:       r.peerLost[c],
-			Resyncs:    r.resyncsOn[c],
-			MarkerTxNs: r.markerTxNs[c],
-			MarkerRxNs: r.markerRxNs[c],
+			Delivered:  row.DeliveredBytes,
+			Lost:       row.LostBytes,
+			Resyncs:    row.Resyncs,
+			MarkerTxNs: row.MarkerTxNs,
+			MarkerRxNs: row.MarkerRxNs,
 		}
 	}
 	return t

@@ -33,7 +33,6 @@ package flowcontrol
 import (
 	"fmt"
 
-	"stripe/internal/obs"
 	"stripe/internal/packet"
 )
 
@@ -48,16 +47,6 @@ type Gate struct {
 	// grants are ignored until Readmit. Counters stay cumulative across
 	// retirement so a rejoin reconciles from the same byte positions.
 	retired []bool
-	obs     *obs.Collector
-}
-
-// SetObs attaches a collector; the gate keeps its per-channel
-// remaining-credit gauge current. Call before the gate is in use.
-func (g *Gate) SetObs(c *obs.Collector) {
-	g.obs = c
-	for i := range g.grant {
-		g.obs.SetCreditRemaining(i, g.grant[i]-g.sent[i])
-	}
 }
 
 // NewGate returns a gate for n channels with an initial window of w
@@ -92,7 +81,6 @@ func (g *Gate) Retire(c int) int64 {
 	// debt, so credit-conservation checks stay clean across teardown.
 	g.grant[c] = g.sent[c]
 	g.retired[c] = true
-	g.obs.SetCreditRemaining(c, 0)
 	return outstanding
 }
 
@@ -107,7 +95,6 @@ func (g *Gate) Readmit(c int) {
 	}
 	g.retired[c] = false
 	g.grant[c] = g.sent[c] + g.window
-	g.obs.SetCreditRemaining(c, g.window)
 }
 
 // Retired reports whether channel c's account is torn down.
@@ -139,7 +126,6 @@ func (g *Gate) Consume(c int, size int) {
 		return
 	}
 	g.sent[c] += int64(size)
-	g.obs.SetCreditRemaining(c, g.grant[c]-g.sent[c])
 }
 
 // ApplyGrant raises channel c's cumulative grant. Grants are monotone:
@@ -170,7 +156,6 @@ func (g *Gate) ApplyGrant(c int, grant int64) error {
 	}
 	if grant > g.grant[c] {
 		g.grant[c] = grant
-		g.obs.SetCreditRemaining(c, g.grant[c]-g.sent[c])
 	}
 	return nil
 }
@@ -205,69 +190,53 @@ func (g *Gate) Sent(c int) int64 {
 
 // Manager is the receiver-side credit issuer. It grants each channel a
 // window of W bytes past the position the sender no longer occupies:
-// bytes the receiver has consumed plus bytes reconciled as lost from
-// marker-carried sender positions.
+// bytes the receiver has consumed plus bytes written off as lost from
+// marker-carried sender positions. It keeps no count of either — both
+// are facts of the receive ledger, read through the released callback —
+// only the monotone grant floor the marker positions establish.
 type Manager struct {
-	window    int64
-	delivered func(c int) int64
-	n         int
-	lost      []int64 // cumulative bytes written off per channel (monotone)
-	floor     []int64 // monotone grant floor from sender-position reconciliation
-	obs       *obs.Collector
+	window   int64
+	released func(c int) int64
+	n        int
+	floor    []int64 // monotone grant floor from sender-position reconciliation
 }
 
 // NewManager returns a manager granting a window of w bytes per channel
-// above the cumulative delivered-byte count reported by the callback
-// (typically Resequencer.DeliveredBytesOn), plus any loss reconciled
-// via Reconcile.
-func NewManager(n int, w int64, delivered func(c int) int64) (*Manager, error) {
+// above the position reported by the callback: the cumulative bytes on
+// the channel that have left the pipeline for good, delivered plus
+// marker-proven lost (Resequencer.ReleasedBytesOn). A callback reporting
+// delivered bytes alone is the leaky scheme the package comment
+// describes.
+func NewManager(n int, w int64, released func(c int) int64) (*Manager, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("flowcontrol: need positive channel count, got %d", n)
 	}
 	if w <= 0 {
 		return nil, fmt.Errorf("flowcontrol: window must be positive, got %d", w)
 	}
-	if delivered == nil {
-		return nil, fmt.Errorf("flowcontrol: nil delivered callback")
+	if released == nil {
+		return nil, fmt.Errorf("flowcontrol: nil released callback")
 	}
-	return &Manager{
-		window:    w,
-		delivered: delivered,
-		n:         n,
-		lost:      make([]int64, n),
-		floor:     make([]int64, n),
-	}, nil
+	return &Manager{window: w, released: released, n: n, floor: make([]int64, n)}, nil
 }
 
-// SetObs attaches a collector; the manager counts reconciliations and
-// the bytes they wrote off as lost.
-func (m *Manager) SetObs(c *obs.Collector) { m.obs = c }
-
-// Reconcile folds a marker-carried sender position into the grant for
-// channel c. senderSent is MarkerBlock.Sent; arrived and buffered are
-// the receiver's cumulative data-byte arrival count and current
-// buffered data bytes on the channel, read at the instant the marker
-// arrived (the FIFO point at which in-flight bytes from before the
-// marker are exactly zero). It returns the bytes newly written off as
-// lost. Stale, duplicated or reordered marker positions are harmless:
-// every quantity involved is folded in with a monotone max.
+// Reconcile folds a marker-carried sender position into the grant floor
+// for channel c and returns the floor now in force. senderSent is
+// MarkerBlock.Sent; arrived and buffered are the receive ledger row's
+// ArrivedBytes and BufferedBytes for the channel, read at the instant
+// the marker arrived (the FIFO point at which in-flight bytes from
+// before the marker are exactly zero). The loss the position proves,
+// senderSent − arrived, is the ledger's to record (RecvChannel.LostBytes)
+// and reaches the grant through the released callback; arrived is only
+// checked for consistency here. Stale, duplicated or reordered marker
+// positions are harmless: the floor is folded in with a monotone max.
 func (m *Manager) Reconcile(c int, senderSent, arrived, buffered int64) (int64, error) {
 	if c < 0 || c >= m.n {
 		return 0, fmt.Errorf("flowcontrol: reconcile for channel %d outside [0,%d)", c, m.n)
 	}
-	if senderSent < 0 || arrived < 0 || buffered < 0 {
-		return 0, fmt.Errorf("flowcontrol: negative reconcile position (sent=%d arrived=%d buffered=%d)",
+	if senderSent < 0 || buffered < 0 || arrived < buffered {
+		return 0, fmt.Errorf("flowcontrol: inconsistent reconcile position (sent=%d arrived=%d buffered=%d)",
 			senderSent, arrived, buffered)
-	}
-	var wroteOff int64
-	// Cumulative loss on c as of the marker. A position older than one
-	// already reconciled yields a smaller value and is ignored.
-	if loss := senderSent - arrived; loss > m.lost[c] {
-		wroteOff = loss - m.lost[c]
-		m.lost[c] = loss
-		if m.obs != nil {
-			m.obs.OnCreditReconciled(c, wroteOff)
-		}
 	}
 	// Grant floor: the sender may run W bytes past everything that has
 	// left the pipeline, i.e. up to Sent + (W − buffered). Equivalent to
@@ -277,26 +246,18 @@ func (m *Manager) Reconcile(c int, senderSent, arrived, buffered int64) (int64, 
 	if f := senderSent + m.window - buffered; f > m.floor[c] {
 		m.floor[c] = f
 	}
-	return wroteOff, nil
-}
-
-// LostBytes returns the cumulative bytes written off as lost on c.
-func (m *Manager) LostBytes(c int) int64 {
-	if c < 0 || c >= m.n {
-		return 0
-	}
-	return m.lost[c]
+	return m.floor[c], nil
 }
 
 // GrantFor returns the current cumulative grant for channel c: the
-// larger of the reconciled floor and delivered + lost + window (the
-// latter keeps credits flowing between markers as the application
-// drains the resequencer).
+// larger of the reconciled floor and released + window (the latter
+// keeps credits flowing between markers as the application drains the
+// resequencer).
 func (m *Manager) GrantFor(c int) int64 {
 	if c < 0 || c >= m.n {
 		return 0
 	}
-	g := m.delivered(c) + m.lost[c] + m.window
+	g := m.released(c) + m.window
 	if m.floor[c] > g {
 		g = m.floor[c]
 	}

@@ -115,47 +115,42 @@ func TestGateGuards(t *testing.T) {
 	}
 }
 
-// TestManagerReconcile pins the loss write-off math: grant floor
-// = senderSent + W − buffered, loss = senderSent − arrived, both folded
-// monotonically so stale or duplicated marker positions are harmless.
+// TestManagerReconcile pins the grant math: floor = senderSent + W −
+// buffered, folded monotonically so stale or duplicated marker positions
+// are harmless, and grant = max(floor, released + W) where released is
+// the receive ledger's delivered + marker-proven lost — the manager
+// keeps no loss count of its own.
 func TestManagerReconcile(t *testing.T) {
-	delivered := []int64{0, 0}
-	m, err := NewManager(2, 1000, func(c int) int64 { return delivered[c] })
+	delivered, lost := []int64{0, 0}, []int64{0, 0}
+	m, err := NewManager(2, 1000, func(c int) int64 { return delivered[c] + lost[c] })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sender put 5000 bytes on channel 0; 3800 arrived (1200 lost), 300
-	// of those still buffered, 3500 delivered.
-	delivered[0] = 3500
-	wrote, err := m.Reconcile(0, 5000, 3800, 300)
+	// Sender put 5000 bytes on channel 0; 3800 arrived (1200 lost, which
+	// the ledger records), 300 of those still buffered, 3500 delivered.
+	delivered[0], lost[0] = 3500, 1200
+	floor, err := m.Reconcile(0, 5000, 3800, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wrote != 1200 {
-		t.Fatalf("wrote off %d, want 1200", wrote)
+	// Grant = max(floor, released+W): floor = 5000+1000−300 = 5700,
+	// released path = 3500+1200+1000 = 5700. They agree at the marker.
+	if got := m.GrantFor(0); floor != 5700 || got != 5700 {
+		t.Fatalf("floor = %d, grant = %d, want 5700", floor, got)
 	}
-	if m.LostBytes(0) != 1200 {
-		t.Fatalf("lost = %d", m.LostBytes(0))
-	}
-	// Grant = max(floor, delivered+lost+W): floor = 5000+1000−300 = 5700,
-	// delivered path = 3500+1200+1000 = 5700. They agree at the marker.
-	if got := m.GrantFor(0); got != 5700 {
-		t.Fatalf("grant = %d, want 5700", got)
-	}
-	// The application drains the 300 buffered bytes: the delivered path
+	// The application drains the 300 buffered bytes: the released path
 	// moves the grant past the floor.
 	delivered[0] = 3800
 	if got := m.GrantFor(0); got != 6000 {
 		t.Fatalf("grant = %d, want 6000", got)
 	}
 	// A stale (duplicated or reordered) position is a no-op.
-	wrote, err = m.Reconcile(0, 4000, 3800, 0)
+	floor, err = m.Reconcile(0, 4000, 3800, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wrote != 0 || m.LostBytes(0) != 1200 || m.GrantFor(0) != 6000 {
-		t.Fatalf("stale position changed state: wrote=%d lost=%d grant=%d",
-			wrote, m.LostBytes(0), m.GrantFor(0))
+	if floor != 5700 || m.GrantFor(0) != 6000 {
+		t.Fatalf("stale position changed state: floor=%d grant=%d", floor, m.GrantFor(0))
 	}
 	// Guards.
 	if _, err := m.Reconcile(2, 0, 0, 0); err == nil {
@@ -164,7 +159,10 @@ func TestManagerReconcile(t *testing.T) {
 	if _, err := m.Reconcile(0, -1, 0, 0); err == nil {
 		t.Error("negative position accepted")
 	}
-	if m.LostBytes(-1) != 0 || m.GrantFor(9) != 0 {
+	if _, err := m.Reconcile(0, 100, 10, 20); err == nil {
+		t.Error("more bytes buffered than arrived accepted")
+	}
+	if m.GrantFor(9) != 0 {
 		t.Error("out-of-range accessor returned nonzero")
 	}
 }

@@ -143,7 +143,6 @@ func RunFaults(plan FaultPlan, seed int64, w int64, maxBuffered, total int, reco
 	if err != nil {
 		panic(err)
 	}
-	gate.SetObs(col)
 	st, err := core.NewStriper(core.StriperConfig{
 		Sched:    sched.MustSRR(quanta),
 		Channels: senders,
@@ -163,11 +162,16 @@ func RunFaults(plan FaultPlan, seed int64, w int64, maxBuffered, total int, reco
 	if err != nil {
 		panic(err)
 	}
-	mgr, err := flowcontrol.NewManager(nch, w, rs.DeliveredBytesOn)
+	// The leaky scheme grants past delivered bytes only; reconciliation
+	// also counts the ledger's marker-proven loss.
+	released := rs.DeliveredBytesOn
+	if reconcile {
+		released = rs.ReleasedBytesOn
+	}
+	mgr, err := flowcontrol.NewManager(nch, w, released)
 	if err != nil {
 		panic(err)
 	}
-	mgr.SetObs(col)
 
 	sizes := trace.NewBimodal(300, 1100, 0.5, seed+13)
 	rep := FaultReport{Target: total}
@@ -179,8 +183,8 @@ func RunFaults(plan FaultPlan, seed int64, w int64, maxBuffered, total int, reco
 			// state from the marker's sender position before the
 			// resequencer sees it.
 			if m, err := packet.MarkerOf(p); err == nil && reconcile {
-				if _, err := mgr.Reconcile(c, int64(m.Sent),
-					rs.ArrivedBytesOn(c), rs.BufferedBytesOn(c)); err != nil {
+				row := rs.Channel(c)
+				if _, err := mgr.Reconcile(c, int64(m.Sent), row.ArrivedBytes, row.BufferedBytes); err != nil {
 					panic(err)
 				}
 			}
@@ -226,7 +230,7 @@ func RunFaults(plan FaultPlan, seed int64, w int64, maxBuffered, total int, reco
 				rep.Stalled = true
 				rep.MaxBuffered = maxInt64(rep.MaxBuffered, int64(rs.Buffered()))
 				rep.Overflows = rs.Stats().Overflows
-				rep.LostReconciled = lostTotal(mgr, nch)
+				rep.LostReconciled = lostTotal(rs, reconcile)
 				rep.MaxErrStreak = maxErrStreak(st, nch)
 				return rep
 			}
@@ -287,7 +291,7 @@ func RunFaults(plan FaultPlan, seed int64, w int64, maxBuffered, total int, reco
 	rep.Delivered += len(rs.Drain())
 	rep.MaxBuffered = maxInt64(rep.MaxBuffered, int64(rs.Buffered()))
 	rep.Overflows = rs.Stats().Overflows
-	rep.LostReconciled = lostTotal(mgr, nch)
+	rep.LostReconciled = lostTotal(rs, reconcile)
 	rep.MaxErrStreak = maxErrStreak(st, nch)
 	return rep
 }
@@ -307,10 +311,14 @@ func maxErrStreak(st *core.Striper, nch int) (worst int64) {
 // fmtNs renders a nanosecond latency with time.Duration units.
 func fmtNs(ns int64) string { return time.Duration(ns).String() }
 
-func lostTotal(m *flowcontrol.Manager, n int) int64 {
-	var t int64
-	for c := 0; c < n; c++ {
-		t += m.LostBytes(c)
+// lostTotal is the loss written off into grants: the ledger's
+// marker-proven loss when reconciling, nothing under the leaky scheme.
+func lostTotal(rs *core.Resequencer, reconcile bool) (t int64) {
+	if !reconcile {
+		return 0
+	}
+	for _, row := range rs.Stats().PerChannel {
+		t += row.LostBytes
 	}
 	return t
 }
@@ -394,6 +402,7 @@ func runFaults(cfg Config) *Result {
 	col := obs.NewCollector(nch)
 	tracer := obs.NewTracer(obs.TracerConfig{Sample: 1})
 	col.SetTracer(tracer)
+	col.SetChecker(obs.NewChecker())
 	after := RunFaults(plan, cfg.Seed+1, window, bufCap, total, true, col)
 
 	var b strings.Builder
@@ -444,5 +453,10 @@ func runFaults(cfg Config) *Result {
 
 	tb := &stats.Table{Title: "Credit reconciliation under 20% loss", XLabel: "reconcile(0=off,1=on)", YLabel: "packets sent", X: []float64{0, 1}}
 	tb.AddColumn("sent", []float64{float64(before.Sent), float64(after.Sent)})
-	return &Result{ID: "faults", Title: "Fault-injection: credit reconciliation", Text: b.String(), Tables: []*stats.Table{tb}}
+	snap := col.Snapshot()
+	for _, v := range snap.Violations {
+		fmt.Fprintln(&b, "# VIOLATION:", v)
+	}
+	return &Result{ID: "faults", Title: "Fault-injection: credit reconciliation", Text: b.String(), Tables: []*stats.Table{tb},
+		Violations: snap.InvariantViolations}
 }

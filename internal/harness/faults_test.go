@@ -103,8 +103,8 @@ func TestFaultsAcceptance(t *testing.T) {
 	}
 	var reconciles, lost int64
 	for _, ch := range snap.Channels {
-		reconciles += ch.CreditReconciles
-		lost += ch.LostReconciled
+		reconciles += ch.Rx.LossMarkers
+		lost += ch.Rx.LostBytes
 	}
 	if reconciles == 0 || lost == 0 {
 		t.Fatalf("obs recorded no reconciliation (reconciles=%d lost=%d)", reconciles, lost)

@@ -293,5 +293,6 @@ func runFlap(cfg Config) *Result {
 
 	tb := &stats.Table{Title: "Channel flap accounting", XLabel: "metric(0=delivered,1=accounted,2=total)", YLabel: "packets", X: []float64{0, 1, 2}}
 	tb.AddColumn("packets", []float64{float64(rep.Delivered), float64(rep.Accounted()), float64(rep.Total)})
-	return &Result{ID: "flap", Title: "Dynamic membership under link flaps", Text: bld.String(), Tables: []*stats.Table{tb}}
+	return &Result{ID: "flap", Title: "Dynamic membership under link flaps", Text: bld.String(), Tables: []*stats.Table{tb},
+		Violations: rep.Violations}
 }

@@ -30,6 +30,10 @@ type Result struct {
 	Text string
 	// Tables carries the structured series for programmatic checks.
 	Tables []*stats.Table
+	// Violations counts the runtime invariant checker's findings (packet
+	// conservation, fairness band, credit conservation) in experiments
+	// that attach one; stripebench exits non-zero when it is not zero.
+	Violations int64
 }
 
 // Experiment is a registered runner.

@@ -16,14 +16,16 @@ func TestFlightRecorderCreditTrigger(t *testing.T) {
 	c.AddSink(fr)
 
 	// Routine events first: they are history, not triggers.
-	c.OnResync(0, 3, -100)
-	c.OnSkip(1, 4)
+	c.Emit(KindResync, 0, 3, -100)
+	c.Emit(KindSkip, 1, 4, 0)
 	if fr.Dumps() != 0 {
 		t.Fatal("routine events tripped a dump")
 	}
 
-	c.OnStriped(0, 700)
-	c.OnCreditExhausted(0, 700)
+	l := newTestLedgers(c)
+	l.stripe(0, 700)
+	l.publish()
+	c.Emit(KindCreditExhausted, 0, 0, 700)
 	if fr.Dumps() != 1 {
 		t.Fatalf("dumps = %d", fr.Dumps())
 	}
@@ -34,7 +36,7 @@ func TestFlightRecorderCreditTrigger(t *testing.T) {
 	if len(d.Events) != 3 || d.Events[0].Kind != KindResync || d.Events[2].Kind != KindCreditExhausted {
 		t.Fatalf("dump history: %+v", d.Events)
 	}
-	if d.Snapshot.Channels[0].StripedBytes != 700 {
+	if d.Snapshot.Channels[0].Tx.Bytes != 700 {
 		t.Fatalf("dump snapshot: %+v", d.Snapshot.Channels)
 	}
 
@@ -59,7 +61,7 @@ func TestFlightRecorderCooldown(t *testing.T) {
 	fr := NewFlightRecorder(c, FlightRecorderConfig{Cooldown: time.Hour})
 	c.AddSink(fr)
 	for i := 0; i < 10; i++ {
-		c.OnCreditExhausted(0, 100)
+		c.Emit(KindCreditExhausted, 0, 0, 100)
 	}
 	if got := fr.Dumps(); got != 1 {
 		t.Fatalf("dumps = %d, want 1 (cooldown)", got)
@@ -69,9 +71,9 @@ func TestFlightRecorderCooldown(t *testing.T) {
 	c2 := NewCollector(1)
 	fr2 := NewFlightRecorder(c2, FlightRecorderConfig{Cooldown: time.Nanosecond})
 	c2.AddSink(fr2)
-	c2.OnCreditExhausted(0, 100)
+	c2.Emit(KindCreditExhausted, 0, 0, 100)
 	time.Sleep(time.Millisecond)
-	c2.OnCreditExhausted(0, 100)
+	c2.Emit(KindCreditExhausted, 0, 0, 100)
 	if got := fr2.Dumps(); got != 2 {
 		t.Fatalf("dumps = %d, want 2", got)
 	}
@@ -84,12 +86,12 @@ func TestFlightRecorderResyncStorm(t *testing.T) {
 	fr := NewFlightRecorder(c, FlightRecorderConfig{StormThreshold: 3, StormWindow: time.Minute})
 	c.AddSink(fr)
 	for i := 0; i < 3; i++ {
-		c.OnResync(0, uint64(i), 0)
+		c.Emit(KindResync, 0, uint64(i), 0)
 	}
 	if fr.Dumps() != 0 {
 		t.Fatal("threshold resyncs tripped early")
 	}
-	c.OnResync(0, 4, 0)
+	c.Emit(KindResync, 0, 4, 0)
 	if fr.Dumps() != 1 {
 		t.Fatalf("dumps = %d after storm", fr.Dumps())
 	}
@@ -103,7 +105,7 @@ func TestFlightRecorderResyncStorm(t *testing.T) {
 	fr2 := NewFlightRecorder(c2, FlightRecorderConfig{StormThreshold: -1})
 	c2.AddSink(fr2)
 	for i := 0; i < 50; i++ {
-		c2.OnResync(0, uint64(i), 0)
+		c2.Emit(KindResync, 0, uint64(i), 0)
 	}
 	if fr2.Dumps() != 0 {
 		t.Fatal("disabled storm trigger fired")
@@ -116,7 +118,7 @@ func TestFlightRecorderRing(t *testing.T) {
 	fr := NewFlightRecorder(c, FlightRecorderConfig{Size: 4, StormThreshold: -1})
 	c.AddSink(fr)
 	for i := 0; i < 10; i++ {
-		c.OnSkip(0, uint64(i))
+		c.Emit(KindSkip, 0, uint64(i), 0)
 	}
 	evs := fr.Events()
 	if len(evs) != 4 {
@@ -139,7 +141,7 @@ func TestFlightRecorderOnDump(t *testing.T) {
 	var got []FlightDump
 	fr := NewFlightRecorder(c, FlightRecorderConfig{OnDump: func(d FlightDump) { got = append(got, d) }})
 	c.AddSink(fr)
-	c.OnReseqOverflow(0, 128, true)
+	c.Emit(KindReseqOverflow, 0, 0, -128)
 	if len(got) != 1 || got[0].Reason != "resequencer overflow" {
 		t.Fatalf("callback: %+v", got)
 	}

@@ -185,6 +185,10 @@ type HealthReport struct {
 	FairnessBound       int64
 	Buffered            int64
 	CreditStallNs       int64
+	// Ledger is every channel's row of the published send and receive
+	// ledgers — each drop by name and by channel — exactly as Snapshot
+	// carries them.
+	Ledger []ChannelSnapshot
 	// Windows is the latest rollup, nil when none is attached or it
 	// has not folded yet.
 	Windows *WindowsSnapshot `json:",omitempty"`
@@ -202,32 +206,24 @@ func (c *Collector) HealthReport() HealthReport {
 	if c == nil {
 		return HealthReport{}
 	}
+	s := c.Snapshot()
 	r := HealthReport{
-		Session:       c.name,
-		AtNs:          sinceEpoch(),
-		Round:         c.round.Load(),
-		Channels:      len(c.ch),
-		Buffered:      c.buffered.Load(),
-		CreditStallNs: c.creditStall.Load(),
+		Session:             s.Name,
+		AtNs:                Now(),
+		Round:               s.Round,
+		Channels:            len(s.Channels),
+		FairnessDiscrepancy: s.FairnessDiscrepancy,
+		FairnessBound:       s.FairnessBound,
+		Buffered:            s.Buffered,
+		CreditStallNs:       int64(s.CreditStall),
+		Ledger:              s.Channels,
+		Windows:             s.Windows,
+		Peer:                s.Peer,
+		Events:              s.Events,
 	}
-	for i := range c.ch {
-		if !c.ch[i].inactive.Load() {
+	for i := range s.Channels {
+		if s.Channels[i].MemberActive {
 			r.ActiveChannels++
-		}
-	}
-	r.FairnessDiscrepancy, r.FairnessBound = c.Fairness()
-	if w := c.windows.Load(); w != nil {
-		r.Windows = w.Latest()
-	}
-	if pv := c.peer.Load(); pv != nil {
-		r.Peer = pv.Latest()
-	}
-	for k := Kind(0); k < nKinds; k++ {
-		if n := c.eventCounts[k].Load(); n != 0 {
-			if r.Events == nil {
-				r.Events = make(map[string]int64, int(nKinds))
-			}
-			r.Events[k.String()] = n
 		}
 	}
 	return r

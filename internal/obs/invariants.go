@@ -1,20 +1,26 @@
 // Runtime invariant checking: the paper's theorems, asserted
 // continuously on the live system instead of only in offline tests.
 //
-// A Checker attached to a Collector runs three checks every time an
-// engine flushes its batched counters (Collector.RunChecks is called
-// from the striper's SyncObs, under the engine mutex — never from the
-// HTTP scrape path):
+// A Checker attached to a Collector runs four checks every time an
+// engine publishes its ledger (PublishSend/PublishRecv call
+// Collector.RunChecks under the engine mutex — never from the HTTP
+// scrape path):
 //
+//   - Packet conservation: on every channel of the receive ledger,
+//     arrived = delivered + buffered + consumed control + Σ named drops,
+//     exactly (RecvChannel.Unaccounted is zero). Every packet has a fate
+//     and every fate has a name.
 //   - Theorem 3.2 fairness: |K·Quantum_i − bytes_i| ≤ Max + 2·Quantum
 //     for every channel, using the collector's live fairness gauge.
 //   - Credit conservation: for every channel the gate's outstanding
 //     grant satisfies 0 ≤ granted − consumed ≤ window. The receiver
-//     grants exactly delivered + lost + window (flowcontrol.Manager),
-//     so granted − consumed = window − in-flight: a value outside
-//     [0, window] means bytes were minted or destroyed.
-//   - Monotone rounds: the sender's global round G never decreases
-//     between flushes (an SRR round, once completed, stays completed).
+//     grants exactly delivered + lost + window (flowcontrol.Manager over
+//     the receive ledger's DeliveredBytes + LostBytes), so granted −
+//     consumed = window − in-flight: a value outside [0, window] means
+//     bytes were minted or destroyed.
+//   - Monotone rounds: within a reset epoch the sender's global round G
+//     never decreases between flushes (an SRR round, once completed,
+//     stays completed).
 //
 // Checks are edge-triggered: entering a violated state records one
 // Violation and fires one KindInvariantViolation event; staying broken
@@ -30,7 +36,7 @@ import (
 // Violation is one invariant-checker finding.
 type Violation struct {
 	At      int64  // nanoseconds since the process timebase
-	Check   string // "fairness", "credit", "round"
+	Check   string // "fairness", "credit", "round", "conservation"
 	Channel int    // offending channel, -1 when global
 	Round   uint64 // sender round at detection
 	Value   int64  // magnitude in the invariant's unit (see Detail)
@@ -74,9 +80,10 @@ type Checker struct {
 
 	mu        sync.Mutex
 	lastRound uint64
+	lastEpoch uint64
 	roundSeen bool
-	inViol    map[string]bool // per-check edge trigger state
-	recent    []Violation     // bounded, oldest first
+	inViol    map[checkKey]bool // per-check edge trigger state
+	recent    []Violation       // bounded, oldest first
 	next      int
 	count     int64
 }
@@ -86,7 +93,7 @@ const maxRecentViolations = 64
 
 // NewChecker returns an invariant checker.
 func NewChecker() *Checker {
-	return &Checker{inViol: make(map[string]bool)}
+	return &Checker{inViol: make(map[checkKey]bool)}
 }
 
 // ViolationCount returns the number of violations ever recorded.
@@ -112,6 +119,12 @@ func (k *Checker) Violations() []Violation {
 	return out
 }
 
+// checkKey names one edge-triggered check instance.
+type checkKey struct {
+	check   string
+	channel int
+}
+
 // run evaluates all checks against c. Called by Collector.RunChecks.
 // New violations are recorded under the checker mutex but emitted to
 // sinks only after it is released: a sink (e.g. the flight recorder)
@@ -120,24 +133,44 @@ func (k *Checker) run(c *Collector, src CreditSource) {
 	var fired []Violation
 	k.mu.Lock()
 
-	round := c.round.Load()
+	c.mu.Lock()
+	round, epoch := c.send.Round, c.send.Epoch
+	disc, bound := c.fairnessLocked()
+	// Packet conservation: every packet received on a channel has a named
+	// fate in the receive ledger, exactly. The rows were published under
+	// the engine lock at a packet boundary, so there is no tolerance.
+	for i := range c.recv.PerChannel {
+		row := &c.recv.PerChannel[i]
+		gap := row.Unaccounted()
+		if k.edge(checkKey{"conservation", i}, gap != 0) {
+			k.record(&fired, Violation{
+				Check: "conservation", Channel: i, Round: round, Value: gap,
+				Detail: fmt.Sprintf("arrived %d but delivered + buffered + consumed + named drops = %d: %d packets have no fate",
+					row.Arrived, row.Arrived-gap, gap),
+			})
+		}
+	}
+	c.mu.Unlock()
 
 	// Theorem 3.2: the striped-byte discrepancy must stay inside the
 	// Max + 2·Quantum band.
-	disc, bound := c.Fairness()
-	k.check(&fired, "fairness", bound > 0 && disc > bound, Violation{
-		Check: "fairness", Channel: -1, Round: round, Value: disc - bound,
-		Detail: fmt.Sprintf("|K*Quantum - bytes| = %d > bound %d (Theorem 3.2)", disc, bound),
-	})
+	if k.edge(checkKey{"fairness", -1}, bound > 0 && disc > bound) {
+		k.record(&fired, Violation{
+			Check: "fairness", Channel: -1, Round: round, Value: disc - bound,
+			Detail: fmt.Sprintf("|K*Quantum - bytes| = %d > bound %d (Theorem 3.2)", disc, bound),
+		})
+	}
 
-	// Monotone rounds: G may stall but never regress.
-	regressed := k.roundSeen && round < k.lastRound
-	k.check(&fired, "round", regressed, Violation{
-		Check: "round", Channel: -1, Round: round, Value: int64(k.lastRound - round),
-		Detail: fmt.Sprintf("sender round regressed %d -> %d", k.lastRound, round),
-	})
+	// Monotone rounds: within a reset epoch G may stall but never regress.
+	regressed := k.roundSeen && round < k.lastRound && epoch == k.lastEpoch
+	if k.edge(checkKey{"round", -1}, regressed) {
+		k.record(&fired, Violation{
+			Check: "round", Channel: -1, Round: round, Value: int64(k.lastRound - round),
+			Detail: fmt.Sprintf("sender round regressed %d -> %d", k.lastRound, round),
+		})
+	}
 	if !regressed {
-		k.lastRound, k.roundSeen = round, true
+		k.lastRound, k.lastEpoch, k.roundSeen = round, epoch, true
 	}
 
 	// Credit conservation: granted = consumed + lost + in-flight, i.e.
@@ -145,15 +178,16 @@ func (k *Checker) run(c *Collector, src CreditSource) {
 	if src != nil {
 		for _, a := range src() {
 			debt := a.Granted - a.Consumed
-			name := fmt.Sprintf("credit/%d", a.Channel)
 			// A retired account is never in violation; evaluating it as
 			// healthy also clears any edge-trigger state from before the
 			// teardown.
-			k.check(&fired, name, !a.Retired && (debt < 0 || debt > a.Window), Violation{
-				Check: "credit", Channel: a.Channel, Round: round, Value: debt,
-				Detail: fmt.Sprintf("granted-consumed = %d-%d = %d outside [0, window %d]",
-					a.Granted, a.Consumed, debt, a.Window),
-			})
+			if k.edge(checkKey{"credit", a.Channel}, !a.Retired && (debt < 0 || debt > a.Window)) {
+				k.record(&fired, Violation{
+					Check: "credit", Channel: a.Channel, Round: round, Value: debt,
+					Detail: fmt.Sprintf("granted-consumed = %d-%d = %d outside [0, window %d]",
+						a.Granted, a.Consumed, debt, a.Window),
+				})
+			}
 		}
 	}
 
@@ -161,22 +195,24 @@ func (k *Checker) run(c *Collector, src CreditSource) {
 	k.mu.Unlock()
 
 	for _, v := range fired {
-		c.emit(KindInvariantViolation, v.Channel, v.Round, v.Value)
+		c.Emit(KindInvariantViolation, v.Channel, v.Round, v.Value)
 		if cb != nil {
 			cb(v)
 		}
 	}
 }
 
-// check applies edge-triggered violation recording for one named check.
-// Caller holds k.mu.
-func (k *Checker) check(fired *[]Violation, name string, broken bool, v Violation) {
-	was := k.inViol[name]
-	k.inViol[name] = broken
-	if !broken || was {
-		return
-	}
-	v.At = sinceEpoch()
+// edge updates one check's edge-trigger state and reports whether it
+// just entered violation. Caller holds k.mu.
+func (k *Checker) edge(key checkKey, broken bool) bool {
+	was := k.inViol[key]
+	k.inViol[key] = broken
+	return broken && !was
+}
+
+// record retains a new violation. Caller holds k.mu.
+func (k *Checker) record(fired *[]Violation, v Violation) {
+	v.At = Now()
 	k.count++
 	if cap(k.recent) == 0 {
 		k.recent = make([]Violation, 0, maxRecentViolations)
@@ -228,9 +264,9 @@ func (c *Collector) SetCreditSource(src CreditSource) {
 }
 
 // RunChecks evaluates the attached invariant checker, if any, and
-// gives the windowed-telemetry rollup its fold opportunity. Engines
-// call it at flush boundaries (marker cadence), under the same mutex
-// that guards the state the checker's CreditSource reads.
+// gives the windowed-telemetry rollup its fold opportunity. The publish
+// calls run it at every engine flush, under the same mutex that guards
+// the state the checker's CreditSource reads.
 func (c *Collector) RunChecks() {
 	if c == nil {
 		return

@@ -12,14 +12,13 @@ func TestCheckerFairnessRedThenGreen(t *testing.T) {
 	c := NewCollector(2)
 	k := NewChecker()
 	c.SetChecker(k)
-	c.SetQuantum(0, 100)
-	c.SetQuantum(1, 100)
-	c.SetRound(1)
+	l := newTestLedgers(c, 100, 100)
+	l.send.Round = 1
 
 	// Green: balanced striping, inside the band.
-	c.OnStriped(0, 100)
-	c.OnStriped(1, 100)
-	c.RunChecks()
+	l.stripe(0, 100)
+	l.stripe(1, 100)
+	l.publish()
 	if n := k.ViolationCount(); n != 0 {
 		t.Fatalf("healthy run violated %d times", n)
 	}
@@ -27,9 +26,9 @@ func TestCheckerFairnessRedThenGreen(t *testing.T) {
 	// Red: pile bytes onto channel 0 without advancing the round. The
 	// discrepancy |K*Q - bytes_0| = 4800 busts the Max + 2*Quantum band.
 	for i := 0; i < 48; i++ {
-		c.OnStriped(0, 100)
+		l.stripe(0, 100)
 	}
-	c.RunChecks()
+	l.publish()
 	if n := k.ViolationCount(); n != 1 {
 		t.Fatalf("seeded fairness break: %d violations, want 1", n)
 	}
@@ -42,7 +41,7 @@ func TestCheckerFairnessRedThenGreen(t *testing.T) {
 	}
 
 	// Still broken: edge-triggered, no second finding.
-	c.RunChecks()
+	l.publish()
 	if n := k.ViolationCount(); n != 1 {
 		t.Fatalf("persistent break re-fired: %d", n)
 	}
@@ -50,19 +49,19 @@ func TestCheckerFairnessRedThenGreen(t *testing.T) {
 	// Recover: catch the other channel up and advance the round so the
 	// discrepancy collapses to zero.
 	for i := 0; i < 48; i++ {
-		c.OnStriped(1, 100)
+		l.stripe(1, 100)
 	}
-	c.SetRound(50)
-	c.RunChecks()
+	l.send.Round = 50
+	l.publish()
 	if n := k.ViolationCount(); n != 1 {
 		t.Fatalf("recovered state counted as violation: %d", n)
 	}
 
 	// Break again: the edge re-arms after recovery.
 	for i := 0; i < 50; i++ {
-		c.OnStriped(0, 100)
+		l.stripe(0, 100)
 	}
-	c.RunChecks()
+	l.publish()
 	if n := k.ViolationCount(); n != 2 {
 		t.Fatalf("second break: %d violations, want 2", n)
 	}
@@ -74,15 +73,12 @@ func TestCheckerRoundMonotone(t *testing.T) {
 	k := NewChecker()
 	c.SetChecker(k)
 
-	c.SetRound(10)
-	c.RunChecks()
-	c.SetRound(11)
-	c.RunChecks()
+	c.PublishSend(&SendLedger{Round: 10})
+	c.PublishSend(&SendLedger{Round: 11})
 	if n := k.ViolationCount(); n != 0 {
 		t.Fatalf("monotone rounds violated %d times", n)
 	}
-	c.SetRound(5)
-	c.RunChecks()
+	c.PublishSend(&SendLedger{Round: 5})
 	vs := k.Violations()
 	if len(vs) != 1 || vs[0].Check != "round" || vs[0].Value != 6 {
 		t.Fatalf("regression finding: %+v", vs)
@@ -138,10 +134,8 @@ func TestCheckerCallbackAndEvents(t *testing.T) {
 	k.OnViolation = func(v Violation) { got = append(got, v) }
 	c.SetChecker(k)
 
-	c.SetRound(10)
-	c.RunChecks()
-	c.SetRound(3)
-	c.RunChecks()
+	c.PublishSend(&SendLedger{Round: 10})
+	c.PublishSend(&SendLedger{Round: 3})
 
 	if len(got) != 1 || got[0].Check != "round" {
 		t.Fatalf("callback saw %+v", got)
@@ -195,10 +189,8 @@ func TestCheckerWithFlightRecorder(t *testing.T) {
 	k := NewChecker()
 	c.SetChecker(k)
 
-	c.SetRound(10)
-	c.RunChecks()
-	c.SetRound(2)
-	c.RunChecks() // trips "round"; recorder dumps synchronously
+	c.PublishSend(&SendLedger{Round: 10})
+	c.PublishSend(&SendLedger{Round: 2}) // trips "round"; recorder dumps synchronously
 
 	d, ok := fr.LastDump()
 	if !ok {

@@ -37,8 +37,10 @@ import (
 // collectors and tracers in one process align on one axis.
 var epoch0 = time.Now()
 
-// sinceEpoch returns monotonic nanoseconds since the process timebase.
-func sinceEpoch() int64 { return time.Since(epoch0).Nanoseconds() }
+// Now returns monotonic nanoseconds since the process timebase. The
+// receive ledger's LastMarkerAt stamps are on this axis too, so the
+// session's silence rule and the windowed rollup read one stamp.
+func Now() int64 { return time.Since(epoch0).Nanoseconds() }
 
 // PacketTrace is one completed packet lifecycle. All stamps are
 // nanoseconds on the process timebase; zero means the stage was never
@@ -197,7 +199,7 @@ func (t *Tracer) onGated(key uint64) {
 	}
 	s := t.claim(key)
 	if s.striped.Load() == 0 {
-		s.striped.Store(sinceEpoch())
+		s.striped.Store(Now())
 	}
 }
 
@@ -209,7 +211,7 @@ func (t *Tracer) onSend(key uint64, ch int) {
 	if t == nil || !t.sampled(key) {
 		return
 	}
-	now := sinceEpoch()
+	now := Now()
 	s := t.claim(key)
 	if s.striped.Load() == 0 {
 		s.striped.Store(now)
@@ -232,7 +234,7 @@ func (t *Tracer) onArrive(key uint64, ch int) {
 		// still measured.
 		s = t.claim(key)
 	}
-	s.arrived.Store(sinceEpoch())
+	s.arrived.Store(Now())
 	s.channel.Store(int32(ch))
 }
 
@@ -245,7 +247,7 @@ func (t *Tracer) onBuffered(key uint64) {
 		return
 	}
 	if s := t.lookup(key); s != nil {
-		s.buffered.Store(sinceEpoch())
+		s.buffered.Store(Now())
 	}
 }
 
@@ -278,7 +280,7 @@ func (t *Tracer) onDeliver(key uint64, displacement int64) {
 		return
 	}
 	s.key.Store(0)
-	now := sinceEpoch()
+	now := Now()
 	rec.DeliveredNs = now
 	t.tracked.Add(1)
 	if rec.StripedNs > 0 {

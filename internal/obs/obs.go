@@ -1,21 +1,30 @@
-// Package obs is the runtime observability layer: a lock-free metrics
-// core plus a protocol event bus, designed so that the paper's live
-// properties — the SRR fairness bound |K·Quantum_i − bytes_i| ≤
-// Max + 2·Quantum (Theorem 3.2) and quasi-FIFO recovery within one
-// marker period (Theorem 5.1) — are observable on a running Session
-// instead of only in offline tests.
+// Package obs is the runtime observability layer: a publisher and
+// reader of the engines' ledgers plus a protocol event bus, designed so
+// that the paper's live properties — the SRR fairness bound
+// |K·Quantum_i − bytes_i| ≤ Max + 2·Quantum (Theorem 3.2) and
+// quasi-FIFO recovery within one marker period (Theorem 5.1) — are
+// observable on a running Session instead of only in offline tests.
 //
-// A *Collector holds per-channel atomic counters and gauges written by
-// the striper, resequencer, session, channels, and flow controller.
+// One ledger: the striper and resequencer count every protocol event
+// in plain fields of the ledger types in ledger.go, and publish
+// absolute copies to a *Collector at their flush points (PublishSend,
+// PublishRecv). The collector counts nothing the engines count; its
+// Snapshot, the Prometheus exposition, the health report and the
+// windowed rollup are generated from the published rows, and the
+// attached Checker asserts packet conservation over them at every
+// flush. What the collector does own are the facts no engine holds
+// (credit-stall time, rejected grants, evictions), two distributions (the displacement histogram and the
+// sampled lifecycle tracer), and the event bus.
+//
 // Every method is nil-safe: instrumented code calls the collector
-// unconditionally, and a nil collector compiles to a pointer test on
-// the hot path, so uninstrumented configurations pay (almost) nothing.
+// unconditionally, and a nil collector compiles to a pointer test.
 //
 // Protocol transitions — marker resync, skip-rule activation, reset,
-// self-heal, fast-forward, credit exhaustion — additionally fire
-// events through any attached Sink (see sink.go). Exposition to
-// Prometheus text format and expvar lives in prometheus.go; the HTTP
-// endpoint that serves both (plus net/http/pprof) is stripe.Serve.
+// self-heal, fast-forward, credit exhaustion, membership changes —
+// fire events through Emit to any attached Sink (see sink.go).
+// Exposition to Prometheus text format and expvar lives in
+// prometheus.go; the HTTP endpoint that serves both (plus
+// net/http/pprof) is stripe.Serve.
 //
 // Naming note: package trace (internal/trace) generates *workloads*
 // for the experiments; this package is the runtime tracing layer.
@@ -27,85 +36,45 @@ import (
 	"time"
 )
 
-// chanCounters is the per-channel slab of the metrics core. All fields
-// are atomics so writers on different goroutines never contend on a
-// lock.
-type chanCounters struct {
-	stripedPkts     atomic.Int64
-	stripedBytes    atomic.Int64
-	deliveredPkts   atomic.Int64
-	deliveredBytes  atomic.Int64
-	markersEmitted  atomic.Int64
-	markersConsumed atomic.Int64
-	resyncs         atomic.Int64
-	skips           atomic.Int64
-	blockedSends    atomic.Int64
-	lost            atomic.Int64
-	queueDepth      atomic.Int64 // gauge: transmit queue occupancy
-	surplus         atomic.Int64 // gauge: SRR deficit/surplus counter
-	quantum         atomic.Int64 // gauge: configured quantum (static)
-	credit          atomic.Int64 // gauge: unused flow-control credit
-	markersDrained  atomic.Int64 // markers consumed eagerly at arrival
-	reconciles      atomic.Int64 // credit reconciliations that wrote off loss
-	lostReconciled  atomic.Int64 // bytes written off as lost and re-granted
-	lastMarkerAt    atomic.Int64 // gauge: process-timebase ns of newest consumed marker
+// ChannelSource reports a physical channel's own counters: packets it
+// dropped (loss or corruption) and its transmit queue occupancy. The
+// channel keeps the count; the collector reads it when asked.
+type ChannelSource func() (lost, queueDepth int64)
 
-	// Dynamic membership lifecycle (join/drain/evict/reinstate
-	// transitions observed on the channel; a session-level change fires
-	// one transition per protocol engine that applies it).
-	joins      atomic.Int64
-	drains     atomic.Int64
-	evictions  atomic.Int64
-	reinstates atomic.Int64
-	inactive   atomic.Bool // gauge: channel currently out of the live set
-
-	// Fairness baseline: the (round, striped-bytes) position at the
-	// channel's most recent (re)join. The Theorem 3.2 band is asserted
-	// over rounds the channel actually participated in, so a rejoined
-	// channel is not charged for rounds it sat out. Zero values preserve
-	// the original since-construction accounting.
-	baseRound atomic.Uint64
-	baseBytes atomic.Int64
-}
-
-// Collector is the lock-free metrics core. Construct with NewCollector
-// and attach to StriperConfig.Obs / ResequencerConfig.Obs (or the
-// public stripe.Config.Collector). All methods are safe for concurrent
-// use and safe on a nil receiver.
+// Collector publishes the engines' ledgers to readers. Construct with
+// NewCollector and attach to StriperConfig.Obs / ResequencerConfig.Obs
+// (or the public stripe.Config.Collector). All methods are safe for
+// concurrent use and safe on a nil receiver.
 type Collector struct {
 	name string
-	ch   []chanCounters
+	n    int
 
-	round  atomic.Uint64 // sender's global round G
-	maxPkt atomic.Int64  // largest data payload striped so far
-
-	resets        atomic.Int64
-	selfHeals     atomic.Int64
-	fastForwards  atomic.Int64
-	badMarkers    atomic.Int64
-	oldEpochDrops atomic.Int64
+	// The published ledgers, absolute copies stored by the engines at
+	// their flush points. One mutex, taken once per flush and once per
+	// read; nothing per packet touches it.
+	mu      sync.Mutex
+	send    SendLedger
+	recv    RecvLedger
+	chanSrc []ChannelSource
+	sinks   atomic.Pointer[[]Sink]
 
 	creditStall   atomic.Int64 // nanoseconds blocked on exhausted credit
 	creditRejects atomic.Int64 // wire grants rejected as invalid
-
-	buffered       atomic.Int64 // gauge: resequencer buffer occupancy
-	highWater      atomic.Int64 // max value buffered has reached
-	reseqOverflows atomic.Int64 // buffer-cap overflow escalations
-	overflowDrops  atomic.Int64 // arrivals dropped at the hard buffer cap
 
 	displacement Histogram // reordering lateness per delivery
 
 	eventSeq    atomic.Uint64
 	eventCounts [nKinds]atomic.Int64
+	// Per-channel counts of the two membership events no engine ledger
+	// holds: the session's health monitor decides them.
+	evictions  []atomic.Int64
+	reinstates []atomic.Int64
 
 	tracer    atomic.Pointer[Tracer]       // packet lifecycle tracing (lifecycle.go)
 	checker   atomic.Pointer[Checker]      // runtime invariant checks (invariants.go)
 	creditSrc atomic.Pointer[CreditSource] // credit ledgers for the checker
 	windows   atomic.Pointer[Windows]      // windowed telemetry rollup (window.go)
 	peer      atomic.Pointer[PeerView]     // peer-reported telemetry view (peer.go)
-
-	mu    sync.Mutex // guards sink attachment only
-	sinks atomic.Pointer[[]Sink]
 }
 
 // NewCollector returns a collector sized for n channels.
@@ -113,7 +82,14 @@ func NewCollector(n int) *Collector {
 	if n < 0 {
 		n = 0
 	}
-	return &Collector{ch: make([]chanCounters, n)}
+	return &Collector{
+		n:          n,
+		send:       SendLedger{PerChannel: make([]SendChannel, n)},
+		recv:       RecvLedger{PerChannel: make([]RecvChannel, n)},
+		chanSrc:    make([]ChannelSource, n),
+		evictions:  make([]atomic.Int64, n),
+		reinstates: make([]atomic.Int64, n),
+	}
 }
 
 // NewNamedCollector returns a collector whose metrics carry a
@@ -131,7 +107,7 @@ func (c *Collector) N() int {
 	if c == nil {
 		return 0
 	}
-	return len(c.ch)
+	return c.n
 }
 
 // Name returns the collector's session label ("" when unnamed).
@@ -159,124 +135,93 @@ func (c *Collector) AddSink(s Sink) {
 	c.sinks.Store(&next)
 }
 
-// emit counts an event and fans it out to the attached sinks.
+// SetChannelSource registers the reader for physical channel's own
+// loss and queue-depth counters. A nil src clears it.
+func (c *Collector) SetChannelSource(channel int, src ChannelSource) {
+	if c == nil || channel < 0 || channel >= c.n {
+		return
+	}
+	c.mu.Lock()
+	c.chanSrc[channel] = src
+	c.mu.Unlock()
+}
+
+// Emit fans a protocol event out to the attached sinks and counts it by
+// kind. The engines count the event in their own ledger; this is the
+// bus, not a second count. Channel is -1 for events that are not
+// channel-specific; the meanings of round and value depend on the kind
+// (see the Kind constants).
 //
 //stripe:hotpath
-func (c *Collector) emit(k Kind, channel int, round uint64, value int64) {
+func (c *Collector) Emit(k Kind, channel int, round uint64, value int64) {
+	if c == nil || k >= nKinds {
+		return
+	}
 	c.eventCounts[k].Add(1)
+	if channel >= 0 && channel < c.n {
+		switch k {
+		case KindMemberEvict:
+			c.evictions[channel].Add(1)
+		case KindMemberReinstate:
+			c.reinstates[channel].Add(1)
+		}
+	}
 	sinks := c.sinks.Load()
 	if sinks == nil {
 		return
 	}
-	e := Event{Seq: c.eventSeq.Add(1), At: sinceEpoch(), Kind: k, Channel: channel, Round: round, Value: value}
+	e := Event{Seq: c.eventSeq.Add(1), At: Now(), Kind: k, Channel: channel, Round: round, Value: value}
 	for _, s := range *sinks {
 		s.Event(e)
 	}
 }
 
-func (c *Collector) inRange(channel int) bool {
-	return channel >= 0 && channel < len(c.ch)
+// PublishSend stores an absolute copy of the sender engine's ledger
+// and runs the attached checks. The striper calls it from SyncObs —
+// every obsFlushEvery packets, at marker cadence, and from
+// Stats/Snapshot — under the engine's lock. Counters must be monotone
+// across calls to keep Prometheus counter semantics.
+//
+//stripe:allowescape takes the publication mutex and runs invariant checks (which lock); called once per flush, never per packet
+func (c *Collector) PublishSend(l *SendLedger) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	rows := c.send.PerChannel
+	c.send = *l
+	c.send.PerChannel = rows
+	copy(rows, l.PerChannel)
+	c.mu.Unlock()
+	c.RunChecks()
 }
 
-// --- Sender-side hooks -------------------------------------------------
+// PublishRecv is PublishSend's mirror image for the receiver engine's
+// ledger; the resequencer calls it from its own SyncObs.
+//
+//stripe:allowescape takes the publication mutex and runs invariant checks (which lock); called once per flush, never per packet
+func (c *Collector) PublishRecv(l *RecvLedger) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	rows := c.recv.PerChannel
+	c.recv = *l
+	c.recv.PerChannel = rows
+	copy(rows, l.PerChannel)
+	c.mu.Unlock()
+	c.RunChecks()
+}
 
-// OnStriped records one data packet of the given payload size striped
-// onto channel. Senders that keep their own plain counters should
-// prefer SyncStriped at a batch boundary; OnStriped is the per-packet
-// convenience form. Do not mix the two on one collector: SyncStriped
-// stores absolute totals and would clobber OnStriped's sums.
+// Displaced records one delivery's reordering lateness in packets (0 =
+// in order): how far behind the highest-ID delivery so far it arrived.
 //
 //stripe:hotpath
-func (c *Collector) OnStriped(channel, size int) {
-	if c == nil || !c.inRange(channel) {
-		return
-	}
-	cc := &c.ch[channel]
-	cc.stripedPkts.Add(1)
-	cc.stripedBytes.Add(int64(size))
-	atomicMax(&c.maxPkt, int64(size))
-}
-
-// SyncStriped publishes absolute striped totals for channel. The
-// striper batches its hot-path accounting in plain fields (it is
-// single-writer by design) and flushes them here at marker cadence, so
-// enabling metrics costs no per-packet atomics on the transmit path.
-// Totals must be monotone across calls to keep Prometheus counter
-// semantics.
-//
-//stripe:hotpath
-func (c *Collector) SyncStriped(channel int, pkts, bytes int64) {
-	if c == nil || !c.inRange(channel) {
-		return
-	}
-	cc := &c.ch[channel]
-	cc.stripedPkts.Store(pkts)
-	cc.stripedBytes.Store(bytes)
-}
-
-// SetMaxPacket raises the observed maximum packet size gauge.
-func (c *Collector) SetMaxPacket(v int64) {
+func (c *Collector) Displaced(displacement int64) {
 	if c == nil {
 		return
 	}
-	atomicMax(&c.maxPkt, v)
-}
-
-// SetRound updates the sender's global round gauge. The store is
-// elided when the round is unchanged, so per-packet callers pay a load
-// (not a fenced store) on the common path.
-func (c *Collector) SetRound(r uint64) {
-	if c == nil {
-		return
-	}
-	if c.round.Load() != r {
-		c.round.Store(r)
-	}
-}
-
-// SetSurplus updates channel's current deficit/surplus counter gauge.
-func (c *Collector) SetSurplus(channel int, v int64) {
-	if c == nil || !c.inRange(channel) {
-		return
-	}
-	c.ch[channel].surplus.Store(v)
-}
-
-// SetQuantum records channel's configured quantum; the fairness gauge
-// derives the per-channel fair share from it.
-func (c *Collector) SetQuantum(channel int, q int64) {
-	if c == nil || !c.inRange(channel) {
-		return
-	}
-	c.ch[channel].quantum.Store(q)
-}
-
-// OnMarkerEmitted records one marker transmitted on channel.
-func (c *Collector) OnMarkerEmitted(channel int) {
-	if c == nil || !c.inRange(channel) {
-		return
-	}
-	c.ch[channel].markersEmitted.Add(1)
-}
-
-// OnCreditExhausted records a send vetoed by flow control: the selected
-// channel had less credit than the packet size.
-func (c *Collector) OnCreditExhausted(channel, size int) {
-	if c == nil {
-		return
-	}
-	if c.inRange(channel) {
-		c.ch[channel].blockedSends.Add(1)
-	}
-	c.emit(KindCreditExhausted, channel, c.round.Load(), int64(size))
-}
-
-// SetCreditRemaining updates channel's unused flow-control credit gauge.
-func (c *Collector) SetCreditRemaining(channel int, v int64) {
-	if c == nil || !c.inRange(channel) {
-		return
-	}
-	c.ch[channel].credit.Store(v)
+	c.displacement.Observe(displacement)
 }
 
 // AddCreditStall accumulates wall-clock time a sender spent blocked
@@ -288,20 +233,6 @@ func (c *Collector) AddCreditStall(d time.Duration) {
 	c.creditStall.Add(int64(d))
 }
 
-// OnCreditReconciled records a marker-position reconciliation on
-// channel that wrote off lostBytes as lost and granted them back.
-func (c *Collector) OnCreditReconciled(channel int, lostBytes int64) {
-	if c == nil {
-		return
-	}
-	if c.inRange(channel) {
-		cc := &c.ch[channel]
-		cc.reconciles.Add(1)
-		cc.lostReconciled.Add(lostBytes)
-	}
-	c.emit(KindCreditReconcile, channel, c.round.Load(), lostBytes)
-}
-
 // OnCreditRejected records a wire grant the gate refused (out-of-range
 // channel, negative value, or a grant beyond the sent + window bound).
 func (c *Collector) OnCreditRejected(channel int) {
@@ -311,291 +242,49 @@ func (c *Collector) OnCreditRejected(channel int) {
 	c.creditRejects.Add(1)
 }
 
-// OnReset records a reset (sender broadcast or receiver application of
-// one); value carries the new epoch.
-func (c *Collector) OnReset(epoch uint64) {
-	if c == nil {
-		return
-	}
-	c.resets.Add(1)
-	c.emit(KindReset, -1, c.round.Load(), int64(epoch))
-}
-
-// --- Receiver-side hooks -----------------------------------------------
-
-// OnDelivered records one data packet delivered in order off channel.
-// displacement is the reordering lateness in packets (0 = in order):
-// how far behind the highest-ID delivery so far this packet arrived.
-//
-//stripe:hotpath
-func (c *Collector) OnDelivered(channel, size int, displacement int64) {
-	if c == nil || !c.inRange(channel) {
-		return
-	}
-	cc := &c.ch[channel]
-	cc.deliveredPkts.Add(1)
-	cc.deliveredBytes.Add(int64(size))
-	c.displacement.Observe(displacement)
-}
-
-// OnMarkerConsumed records one structurally valid marker consumed from
-// channel.
-//
-//stripe:hotpath
-func (c *Collector) OnMarkerConsumed(channel int) {
-	if c == nil || !c.inRange(channel) {
-		return
-	}
-	cc := &c.ch[channel]
-	cc.markersConsumed.Add(1)
-	cc.lastMarkerAt.Store(sinceEpoch())
-}
-
-// OnBadMarker records a marker dropped as corrupt or mis-addressed.
-func (c *Collector) OnBadMarker() {
-	if c == nil {
-		return
-	}
-	c.badMarkers.Add(1)
-}
-
-// OnResync records a marker that changed receiver state for channel:
-// the channel's expected round moved to round with the given deficit.
-func (c *Collector) OnResync(channel int, round uint64, deficit int64) {
-	if c == nil {
-		return
-	}
-	if c.inRange(channel) {
-		c.ch[channel].resyncs.Add(1)
-	}
-	c.emit(KindResync, channel, round, deficit)
-}
-
-// OnSkip records one skip-rule activation: the receiver passed over
-// channel because its expected round is still ahead of G.
-func (c *Collector) OnSkip(channel int, round uint64) {
-	if c == nil {
-		return
-	}
-	if c.inRange(channel) {
-		c.ch[channel].skips.Add(1)
-	}
-	c.emit(KindSkip, channel, round, 0)
-}
-
-// OnFastForward records the receiver jumping its round from from to to
-// because every channel was skip-listed.
-func (c *Collector) OnFastForward(from, to uint64) {
-	if c == nil {
-		return
-	}
-	c.fastForwards.Add(1)
-	c.emit(KindFastForward, -1, from, int64(to-from))
-}
-
-// OnSelfHeal records a self-stabilization event: the receiver adopted
-// the state declared by uniformly stale markers, restarting at round.
-func (c *Collector) OnSelfHeal(round uint64) {
-	if c == nil {
-		return
-	}
-	c.selfHeals.Add(1)
-	c.emit(KindSelfHeal, -1, round, 0)
-}
-
-// OnOldEpochDrops records packets discarded while waiting out a reset.
-func (c *Collector) OnOldEpochDrops(n int64) {
-	if c == nil || n <= 0 {
-		return
-	}
-	c.oldEpochDrops.Add(n)
-}
-
-// SetBuffered updates the resequencer buffer occupancy gauge and its
-// high-water mark.
-//
-//stripe:hotpath
-func (c *Collector) SetBuffered(n int64) {
-	if c == nil {
-		return
-	}
-	c.buffered.Store(n)
-	atomicMax(&c.highWater, n)
-}
-
-// OnMarkerDrained records a marker consumed eagerly at arrival (head of
-// an otherwise idle channel buffer) rather than in scan order.
-func (c *Collector) OnMarkerDrained(channel int) {
-	if c == nil || !c.inRange(channel) {
-		return
-	}
-	c.ch[channel].markersDrained.Add(1)
-}
-
-// OnReseqOverflow records the resequencer's buffered-packet count
-// crossing its configured cap on channel, escalating to forced
-// delivery. dropped reports whether the arrival was discarded at the
-// hard cap instead of buffered.
-func (c *Collector) OnReseqOverflow(channel int, buffered int64, dropped bool) {
-	if c == nil {
-		return
-	}
-	c.reseqOverflows.Add(1)
-	if dropped {
-		c.overflowDrops.Add(1)
-	}
-	v := buffered
-	if dropped {
-		v = -buffered
-	}
-	c.emit(KindReseqOverflow, channel, c.round.Load(), v)
-}
-
-// --- Membership hooks --------------------------------------------------
-
-// OnMemberJoin records channel (re)joining the live set. round is the
-// round in which the serving scheduler first serves it. Both directions'
-// engines fire it (a session's transmit admit and receive admit each
-// count one join); only the transmit side may additionally rebase the
-// fairness baseline, via RebaseFairness.
-func (c *Collector) OnMemberJoin(channel int, round uint64) {
-	if c == nil {
-		return
-	}
-	if c.inRange(channel) {
-		cc := &c.ch[channel]
-		cc.joins.Add(1)
-		cc.inactive.Store(false)
-	}
-	c.emit(KindMemberJoin, channel, round, 0)
-}
-
-// RebaseFairness resets channel's fairness baseline to (round, current
-// striped bytes) so the Theorem 3.2 band measures the channel only over
-// rounds it participates in. Only the transmit-side join path may call
-// it, with round in the local striper's round space: a receive-side
-// join's announced round belongs to the peer's striper — an unrelated
-// round space — and rebasing to it would misstate the band by however
-// far the two spaces diverge. Callers flush batched byte counters first
-// so the byte position read here is exact.
-func (c *Collector) RebaseFairness(channel int, round uint64) {
-	if c == nil || !c.inRange(channel) {
-		return
-	}
-	cc := &c.ch[channel]
-	cc.baseRound.Store(round)
-	cc.baseBytes.Store(cc.stripedBytes.Load())
-}
-
-// OnMemberDrain records channel leaving the live set. value carries the
-// outstanding credit returned by gate teardown (sender side) or the
-// buffered packets declared lost (receiver side).
-func (c *Collector) OnMemberDrain(channel int, round uint64, value int64) {
-	if c == nil {
-		return
-	}
-	if c.inRange(channel) {
-		cc := &c.ch[channel]
-		cc.drains.Add(1)
-		cc.inactive.Store(true)
-	}
-	c.emit(KindMemberDrain, channel, round, value)
-}
-
-// OnMemberEvict records the health monitor force-removing channel;
-// value is the consecutive send-error count (or nanoseconds of marker
-// silence). The transition itself also fires OnMemberDrain from the
-// engines it tears down; this event marks that it was involuntary, and
-// it is a flight-recorder dump trigger.
-func (c *Collector) OnMemberEvict(channel int, value int64) {
-	if c == nil {
-		return
-	}
-	if c.inRange(channel) {
-		c.ch[channel].evictions.Add(1)
-	}
-	c.emit(KindMemberEvict, channel, c.round.Load(), value)
-}
-
-// OnMemberReinstate records the health monitor re-admitting a
-// previously evicted channel after observing recovery.
-func (c *Collector) OnMemberReinstate(channel int) {
-	if c == nil {
-		return
-	}
-	if c.inRange(channel) {
-		c.ch[channel].reinstates.Add(1)
-	}
-	c.emit(KindMemberReinstate, channel, c.round.Load(), 0)
-}
-
-// MemberActive reports the membership gauge for channel (true for
-// channels never touched by membership hooks).
-func (c *Collector) MemberActive(channel int) bool {
-	if c == nil || !c.inRange(channel) {
-		return false
-	}
-	return !c.ch[channel].inactive.Load()
-}
-
-// --- Channel hooks -----------------------------------------------------
-
-// OnChannelLost records a packet dropped (lost or corrupted) by the
-// physical channel itself.
-func (c *Collector) OnChannelLost(channel int) {
-	if c == nil || !c.inRange(channel) {
-		return
-	}
-	c.ch[channel].lost.Add(1)
-}
-
-// SetChannelQueueDepth updates channel's transmit queue occupancy gauge.
-func (c *Collector) SetChannelQueueDepth(channel int, depth int64) {
-	if c == nil || !c.inRange(channel) {
-		return
-	}
-	c.ch[channel].queueDepth.Store(depth)
-}
-
 // --- Derived metrics ---------------------------------------------------
 
 // Fairness returns the live fairness gauge: the maximum over live
 // channels of |K_i·Quantum_i − bytes_i| (K_i the rounds elapsed since
 // the channel's fairness baseline — its construction or most recent
-// rejoin — and bytes_i the data bytes striped onto it since then) and
+// rejoin, SendChannel.JoinRound — and bytes_i the data bytes striped
+// onto it since then) and
 // the theoretical bound Max + 2·max_i(Quantum_i) of Theorem 3.2. With
 // static membership the baselines are zero and this is the original
-// since-construction gauge. Channels currently out of the live set are
-// excluded: the theorem quantifies over the surviving set. Both results
-// are zero until a round completes or when quanta were never registered
-// (non-round-based schedulers).
+// since-construction gauge. Channels currently out of the transmit set
+// are excluded: the theorem quantifies over the surviving set. Both
+// results are zero until a round completes or when no quanta were
+// published (non-round-based schedulers).
 func (c *Collector) Fairness() (discrepancy, bound int64) {
 	if c == nil {
 		return 0, 0
 	}
-	k := c.round.Load()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fairnessLocked()
+}
+
+func (c *Collector) fairnessLocked() (discrepancy, bound int64) {
+	k := c.send.Round
 	if k == 0 {
 		return 0, 0
 	}
 	var maxQ int64
-	for i := range c.ch {
-		cc := &c.ch[i]
-		q := cc.quantum.Load()
-		if q <= 0 || cc.inactive.Load() {
+	for i := range c.send.PerChannel {
+		row := &c.send.PerChannel[i]
+		if row.Quantum <= 0 || row.Removed {
 			continue
 		}
-		if q > maxQ {
-			maxQ = q
+		if row.Quantum > maxQ {
+			maxQ = row.Quantum
 		}
-		base := cc.baseRound.Load()
-		if base >= k {
+		if row.JoinRound >= k {
 			// Joined for a future round; no participation to measure yet.
 			continue
 		}
-		// k > base >= 0, so the difference fits int64 for any realistic
-		// round count
-		ki := int64(k - base)
-		d := ki*q - (cc.stripedBytes.Load() - cc.baseBytes.Load())
+		// k > JoinRound >= 0, so the difference fits int64 for any
+		// realistic round count
+		d := int64(k-row.JoinRound)*row.Quantum - (row.Bytes - row.JoinBytes)
 		if d < 0 {
 			d = -d
 		}
@@ -606,37 +295,26 @@ func (c *Collector) Fairness() (discrepancy, bound int64) {
 	if maxQ == 0 {
 		return 0, 0
 	}
-	return discrepancy, c.maxPkt.Load() + 2*maxQ
+	return discrepancy, c.send.MaxPacket + 2*maxQ
 }
 
 // --- Snapshot ----------------------------------------------------------
 
-// ChannelSnapshot is a point-in-time copy of one channel's counters.
+// ChannelSnapshot is a point-in-time copy of everything known about one
+// channel: its row of each published ledger, the physical channel's own
+// counters, and the session-level membership facts.
 type ChannelSnapshot struct {
-	StripedPackets   int64
-	StripedBytes     int64
-	DeliveredPackets int64
-	DeliveredBytes   int64
-	MarkersEmitted   int64
-	MarkersConsumed  int64
-	Resyncs          int64
-	Skips            int64
-	BlockedSends     int64
-	Lost             int64
-	QueueDepth       int64
-	Surplus          int64
-	Quantum          int64
-	CreditRemaining  int64
-	MarkersDrained   int64
-	CreditReconciles int64
-	LostReconciled   int64
+	Tx SendChannel // send-ledger row
+	Rx RecvChannel // receive-ledger row
 
-	// Lifecycle counters and the live-set gauge for dynamic membership.
-	MemberJoins      int64
-	MemberDrains     int64
-	MemberEvictions  int64
-	MemberReinstates int64
-	MemberActive     bool
+	Lost       int64 // packets dropped by the physical channel itself
+	QueueDepth int64 // gauge: transmit queue occupancy
+
+	MemberEvictions  int64 // health-monitor forced removals
+	MemberReinstates int64 // health-monitor re-admissions
+	// MemberActive is the live-set gauge: false once either direction's
+	// engine has the slot out of its live set.
+	MemberActive bool
 }
 
 // Snapshot is a point-in-time copy of every metric the collector holds,
@@ -647,22 +325,24 @@ type Snapshot struct {
 	Name     string `json:",omitempty"`
 	Channels []ChannelSnapshot
 
+	// Tx and Rx are the sums of the per-channel ledger rows.
+	Tx SendChannel
+	Rx RecvChannel
+
 	Round     uint64
+	Epoch     uint64
 	MaxPacket int64
 
-	Resets        int64
-	SelfHeals     int64
-	FastForwards  int64
-	BadMarkers    int64
-	OldEpochDrops int64
+	Resets       int64 // resets broadcast plus resets applied
+	SelfHeals    int64
+	FastForwards int64
 
 	CreditStall   time.Duration // total time senders spent credit-blocked
 	CreditRejects int64         // wire grants refused by the gate
 
-	Buffered          int64 // resequencer buffer occupancy now
-	BufferedHighWater int64
+	Buffered          int64 // resequencer occupancy as of the last flush
+	BufferedHighWater int64 // exact maximum occupancy
 	ReseqOverflows    int64 // buffer-cap escalations
-	OverflowDrops     int64 // arrivals discarded at the hard cap
 
 	// FairnessDiscrepancy is max_i |K·Quantum_i − bytes_i|;
 	// FairnessBound is the Theorem 3.2 ceiling Max + 2·Quantum. A
@@ -697,59 +377,63 @@ type Snapshot struct {
 	Events map[string]int64 `json:",omitempty"` // per-kind event counts
 }
 
-// Snapshot returns a consistent-enough copy of all counters (each field
-// is read atomically; the set is not a single atomic cut, which metrics
-// scraping never needs). Safe on nil (returns the zero Snapshot).
+// channelsLocked fills dst (len n) from the published rows, the channel
+// sources and the bus's membership counts. It allocates nothing. Caller
+// holds c.mu.
+func (c *Collector) channelsLocked(dst []ChannelSnapshot) {
+	for i := range dst {
+		tx, rx := &c.send.PerChannel[i], &c.recv.PerChannel[i]
+		dst[i] = ChannelSnapshot{
+			Tx: *tx, Rx: *rx,
+			MemberEvictions:  c.evictions[i].Load(),
+			MemberReinstates: c.reinstates[i].Load(),
+			MemberActive:     !tx.Removed && !rx.Removed,
+		}
+		if src := c.chanSrc[i]; src != nil {
+			dst[i].Lost, dst[i].QueueDepth = src()
+		}
+	}
+}
+
+// readChannels is channelsLocked for the windowed rollup, which calls
+// it on the flush path; it also returns the published sender round.
+//
+//stripe:allowescape takes the publication mutex once per rollup tick (default 1s), never per packet
+func (c *Collector) readChannels(dst []ChannelSnapshot) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.channelsLocked(dst)
+	return c.send.Round
+}
+
+// Snapshot returns a copy of the published ledgers (each exact as of
+// its engine's last flush) and everything the collector owns. Safe on
+// nil (returns the zero Snapshot).
 func (c *Collector) Snapshot() Snapshot {
 	if c == nil {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		Name:              c.name,
-		Channels:          make([]ChannelSnapshot, len(c.ch)),
-		Round:             c.round.Load(),
-		MaxPacket:         c.maxPkt.Load(),
-		Resets:            c.resets.Load(),
-		SelfHeals:         c.selfHeals.Load(),
-		FastForwards:      c.fastForwards.Load(),
-		BadMarkers:        c.badMarkers.Load(),
-		OldEpochDrops:     c.oldEpochDrops.Load(),
-		CreditStall:       time.Duration(c.creditStall.Load()),
-		CreditRejects:     c.creditRejects.Load(),
-		Buffered:          c.buffered.Load(),
-		BufferedHighWater: c.highWater.Load(),
-		ReseqOverflows:    c.reseqOverflows.Load(),
-		OverflowDrops:     c.overflowDrops.Load(),
-		Displacement:      c.displacement.Snapshot(),
+		Name:          c.name,
+		Channels:      make([]ChannelSnapshot, c.n),
+		CreditStall:   time.Duration(c.creditStall.Load()),
+		CreditRejects: c.creditRejects.Load(),
+		Displacement:  c.displacement.Snapshot(),
+		Events:        c.eventCountsMap(),
 	}
-	for i := range c.ch {
-		cc := &c.ch[i]
-		s.Channels[i] = ChannelSnapshot{
-			StripedPackets:   cc.stripedPkts.Load(),
-			StripedBytes:     cc.stripedBytes.Load(),
-			DeliveredPackets: cc.deliveredPkts.Load(),
-			DeliveredBytes:   cc.deliveredBytes.Load(),
-			MarkersEmitted:   cc.markersEmitted.Load(),
-			MarkersConsumed:  cc.markersConsumed.Load(),
-			Resyncs:          cc.resyncs.Load(),
-			Skips:            cc.skips.Load(),
-			BlockedSends:     cc.blockedSends.Load(),
-			Lost:             cc.lost.Load(),
-			QueueDepth:       cc.queueDepth.Load(),
-			Surplus:          cc.surplus.Load(),
-			Quantum:          cc.quantum.Load(),
-			CreditRemaining:  cc.credit.Load(),
-			MarkersDrained:   cc.markersDrained.Load(),
-			CreditReconciles: cc.reconciles.Load(),
-			LostReconciled:   cc.lostReconciled.Load(),
-			MemberJoins:      cc.joins.Load(),
-			MemberDrains:     cc.drains.Load(),
-			MemberEvictions:  cc.evictions.Load(),
-			MemberReinstates: cc.reinstates.Load(),
-			MemberActive:     !cc.inactive.Load(),
-		}
+	c.mu.Lock()
+	c.channelsLocked(s.Channels)
+	s.Round, s.Epoch, s.MaxPacket = c.send.Round, c.send.Epoch, c.send.MaxPacket
+	s.Resets = c.send.Resets + c.recv.Resets
+	s.SelfHeals, s.FastForwards = c.recv.SelfHeals, c.recv.FastForwards
+	s.Buffered, s.BufferedHighWater = c.recv.Occupancy, c.recv.HighWater
+	s.ReseqOverflows = c.recv.Overflows
+	s.FairnessDiscrepancy, s.FairnessBound = c.fairnessLocked()
+	c.mu.Unlock()
+	for i := range s.Channels {
+		s.Tx.add(&s.Channels[i].Tx)
+		s.Rx.add(&s.Channels[i].Rx)
 	}
-	s.FairnessDiscrepancy, s.FairnessBound = c.Fairness()
 	if t := c.tracer.Load(); t != nil {
 		ts := t.Snapshot()
 		s.Lifecycle = &ts
@@ -764,23 +448,20 @@ func (c *Collector) Snapshot() Snapshot {
 		s.InvariantViolations = ck.ViolationCount()
 		s.Violations = ck.Violations()
 	}
-	for k := Kind(0); k < nKinds; k++ {
-		if n := c.eventCounts[k].Load(); n != 0 {
-			if s.Events == nil {
-				s.Events = make(map[string]int64, int(nKinds))
-			}
-			s.Events[k.String()] = n
-		}
-	}
 	return s
 }
 
-// atomicMax raises *a to v if v is larger, without locking.
-func atomicMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
+// eventCountsMap returns the nonzero per-kind event counts, nil when no
+// event has fired.
+func (c *Collector) eventCountsMap() map[string]int64 {
+	var m map[string]int64
+	for k := Kind(0); k < nKinds; k++ {
+		if n := c.eventCounts[k].Load(); n != 0 {
+			if m == nil {
+				m = make(map[string]int64, int(nKinds))
+			}
+			m[k.String()] = n
 		}
 	}
+	return m
 }

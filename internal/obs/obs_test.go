@@ -7,31 +7,61 @@ import (
 	"time"
 )
 
-// TestNilCollectorIsSafe checks that every hook is a no-op on a nil
+// testLedgers is a hand-driven engine pair for collector tests: tests
+// mutate the ledgers the way an engine would and publish them.
+type testLedgers struct {
+	c    *Collector
+	send SendLedger
+	recv RecvLedger
+}
+
+func newTestLedgers(c *Collector, quanta ...int64) *testLedgers {
+	l := &testLedgers{
+		c:    c,
+		send: SendLedger{PerChannel: make([]SendChannel, c.N())},
+		recv: RecvLedger{PerChannel: make([]RecvChannel, c.N())},
+	}
+	for i, q := range quanta {
+		l.send.PerChannel[i].Quantum = q
+	}
+	return l
+}
+
+// stripe counts one data packet striped onto channel ch.
+func (l *testLedgers) stripe(ch int, size int64) {
+	l.send.PerChannel[ch].Packets++
+	l.send.PerChannel[ch].Bytes += size
+	if size > l.send.MaxPacket {
+		l.send.MaxPacket = size
+	}
+}
+
+// deliver counts one data packet received on ch and handed up.
+func (l *testLedgers) deliver(ch int, size int64) {
+	row := &l.recv.PerChannel[ch]
+	row.Arrived++
+	row.ArrivedBytes += size
+	row.Delivered++
+	row.DeliveredBytes += size
+}
+
+func (l *testLedgers) publish() {
+	l.c.PublishSend(&l.send)
+	l.c.PublishRecv(&l.recv)
+}
+
+// TestNilCollectorIsSafe checks that every writer is a no-op on a nil
 // *Collector: instrumented code never guards calls beyond one pointer
 // test, so the nil receiver must absorb the full surface.
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
-	c.OnStriped(0, 100)
-	c.SetRound(3)
-	c.SetSurplus(1, -50)
-	c.SetQuantum(0, 1500)
-	c.OnMarkerEmitted(0)
-	c.OnCreditExhausted(1, 200)
-	c.SetCreditRemaining(0, 10)
+	c.PublishSend(&SendLedger{})
+	c.PublishRecv(&RecvLedger{})
+	c.Emit(KindResync, 0, 5, -100)
+	c.Displaced(2)
 	c.AddCreditStall(time.Millisecond)
-	c.OnReset(1)
-	c.OnDelivered(0, 100, 2)
-	c.OnMarkerConsumed(1)
-	c.OnBadMarker()
-	c.OnResync(0, 5, -100)
-	c.OnSkip(1, 6)
-	c.OnFastForward(2, 9)
-	c.OnSelfHeal(7)
-	c.OnOldEpochDrops(3)
-	c.SetBuffered(4)
-	c.OnChannelLost(0)
-	c.SetChannelQueueDepth(1, 8)
+	c.OnCreditRejected(0)
+	c.SetChannelSource(0, func() (int64, int64) { return 1, 1 })
 	if d, b := c.Fairness(); d != 0 || b != 0 {
 		t.Fatalf("nil Fairness = %d, %d", d, b)
 	}
@@ -45,29 +75,34 @@ func TestCountersAndSnapshot(t *testing.T) {
 	if c.N() != 2 || c.Name() != "t" {
 		t.Fatalf("N=%d Name=%q", c.N(), c.Name())
 	}
-	c.SetQuantum(0, 1500)
-	c.SetQuantum(1, 1500)
-	c.OnStriped(0, 1000)
-	c.OnStriped(0, 500)
-	c.OnStriped(1, 1500)
-	c.SetRound(1)
-	c.OnMarkerEmitted(0)
-	c.OnDelivered(1, 1500, 0)
-	c.OnDelivered(0, 1000, 3)
-	c.OnMarkerConsumed(0)
-	c.SetBuffered(5)
-	c.SetBuffered(2)
-	c.OnChannelLost(1)
+	l := newTestLedgers(c, 1500, 1500)
+	l.stripe(0, 1000)
+	l.stripe(0, 500)
+	l.stripe(1, 1500)
+	l.send.Round = 1
+	l.send.PerChannel[0].Markers++
+	l.deliver(1, 1500)
+	l.deliver(0, 1000)
+	c.Displaced(0)
+	c.Displaced(3)
+	l.recv.PerChannel[0].Arrived++
+	l.recv.PerChannel[0].Markers++
+	l.recv.Occupancy, l.recv.HighWater = 2, 5
+	c.SetChannelSource(1, func() (int64, int64) { return 1, 8 })
+	l.publish()
 
 	s := c.Snapshot()
-	if s.Channels[0].StripedPackets != 2 || s.Channels[0].StripedBytes != 1500 {
+	if s.Channels[0].Tx.Packets != 2 || s.Channels[0].Tx.Bytes != 1500 {
 		t.Fatalf("channel 0 striped: %+v", s.Channels[0])
 	}
-	if s.Channels[1].StripedBytes != 1500 || s.Channels[1].Lost != 1 {
+	if s.Channels[1].Tx.Bytes != 1500 || s.Channels[1].Lost != 1 || s.Channels[1].QueueDepth != 8 {
 		t.Fatalf("channel 1: %+v", s.Channels[1])
 	}
-	if s.Channels[0].DeliveredPackets != 1 || s.Channels[1].DeliveredBytes != 1500 {
+	if s.Channels[0].Rx.Delivered != 1 || s.Channels[1].Rx.DeliveredBytes != 1500 {
 		t.Fatalf("delivered: %+v", s.Channels)
+	}
+	if s.Tx.Packets != 3 || s.Rx.Delivered != 2 || s.Rx.Markers != 1 {
+		t.Fatalf("totals: tx %+v rx %+v", s.Tx, s.Rx)
 	}
 	if s.MaxPacket != 1500 {
 		t.Fatalf("MaxPacket = %d", s.MaxPacket)
@@ -91,11 +126,11 @@ func TestFairnessDiscrepancy(t *testing.T) {
 	if d, b := c.Fairness(); d != 0 || b != 0 {
 		t.Fatalf("fresh collector fairness %d/%d", d, b)
 	}
-	c.SetQuantum(0, 1000)
-	c.SetQuantum(1, 500)
-	c.OnStriped(0, 1800) // deficit vs K*Q0 = 2000: 200
-	c.OnStriped(1, 1300) // surplus vs K*Q1 = 1000: 300
-	c.SetRound(2)
+	l := newTestLedgers(c, 1000, 500)
+	l.stripe(0, 1800) // deficit vs K*Q0 = 2000: 200
+	l.stripe(1, 1300) // surplus vs K*Q1 = 1000: 300
+	l.send.Round = 2
+	l.publish()
 	d, b := c.Fairness()
 	if d != 300 {
 		t.Fatalf("discrepancy = %d, want 300", d)
@@ -112,12 +147,12 @@ func TestEventsAndRingSink(t *testing.T) {
 	var funcGot []Event
 	c.AddSink(SinkFunc(func(e Event) { funcGot = append(funcGot, e) }))
 
-	c.OnResync(0, 5, -100)
-	c.OnSkip(1, 6)
-	c.OnReset(2)
-	c.OnSelfHeal(9)
-	c.OnFastForward(3, 9)
-	c.OnCreditExhausted(0, 700)
+	c.Emit(KindResync, 0, 5, -100)
+	c.Emit(KindSkip, 1, 6, 0)
+	c.Emit(KindReset, -1, 0, 2)
+	c.Emit(KindSelfHeal, -1, 9, 0)
+	c.Emit(KindFastForward, -1, 3, 6)
+	c.Emit(KindCreditExhausted, 0, 0, 700)
 
 	if got := ring.Total(); got != 6 {
 		t.Fatalf("ring total = %d, want 6", got)
@@ -162,7 +197,7 @@ func TestWriterSink(t *testing.T) {
 		defer mu.Unlock()
 		NewWriterSink(&sb).Event(e)
 	}))
-	c.OnResync(0, 7, 42)
+	c.Emit(KindResync, 0, 7, 42)
 	if got := sb.String(); !strings.Contains(got, "resync channel=0 round=7 value=42") {
 		t.Fatalf("writer sink wrote %q", got)
 	}
@@ -200,14 +235,18 @@ func TestHistogramBuckets(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	a := NewNamedCollector("a", 2)
 	b := NewNamedCollector("b", 1)
-	a.SetQuantum(0, 1500)
-	a.SetQuantum(1, 1500)
-	a.OnStriped(0, 1000)
-	a.SetRound(1)
-	a.OnMarkerEmitted(1)
-	a.OnResync(0, 4, 0)
-	a.OnDelivered(0, 1000, 2)
-	b.OnStriped(0, 64)
+	la := newTestLedgers(a, 1500, 1500)
+	la.stripe(0, 1000)
+	la.send.Round = 1
+	la.send.PerChannel[1].Markers++
+	la.recv.PerChannel[0].Resyncs++
+	a.Emit(KindResync, 0, 4, 0)
+	la.deliver(0, 1000)
+	a.Displaced(2)
+	la.publish()
+	lb := newTestLedgers(b)
+	lb.stripe(0, 64)
+	lb.publish()
 
 	var sb strings.Builder
 	WritePrometheus(&sb, a, b)
@@ -238,8 +277,6 @@ func TestWritePrometheus(t *testing.T) {
 // get synthesized session labels instead of colliding.
 func TestWritePrometheusUnnamed(t *testing.T) {
 	a, b := NewCollector(1), NewCollector(1)
-	a.OnStriped(0, 1)
-	b.OnStriped(0, 2)
 	var sb strings.Builder
 	WritePrometheus(&sb, a, b)
 	out := sb.String()
@@ -248,8 +285,9 @@ func TestWritePrometheusUnnamed(t *testing.T) {
 	}
 }
 
-// TestConcurrentUse hammers one collector from many goroutines; run
-// under -race this is the lock-freedom proof for the hot-path hooks.
+// TestConcurrentUse hammers one collector from many goroutines — engines
+// publishing, the bus emitting, scrapes reading; run under -race this is
+// the proof that publication and reads are properly synchronized.
 func TestConcurrentUse(t *testing.T) {
 	c := NewCollector(4)
 	ring := NewRingSink(16)
@@ -259,29 +297,34 @@ func TestConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			l := newTestLedgers(c)
 			ch := g % 4
 			for i := 0; i < 1000; i++ {
-				c.OnStriped(ch, 100)
-				c.OnDelivered(ch, 100, int64(i%3))
-				c.SetRound(uint64(i))
-				c.SetBuffered(int64(i % 7))
+				l.stripe(ch, 100)
+				l.deliver(ch, 100)
+				c.Displaced(int64(i % 3))
+				l.send.Round = uint64(i)
+				if i%2 == 0 {
+					c.PublishSend(&l.send)
+				} else {
+					c.PublishRecv(&l.recv)
+				}
 				if i%100 == 0 {
-					c.OnResync(ch, uint64(i), 0)
+					c.Emit(KindResync, ch, uint64(i), 0)
 					var sb strings.Builder
 					c.WritePrometheus(&sb)
 					_ = c.Snapshot()
 				}
 			}
+			l.publish()
 		}(g)
 	}
 	wg.Wait()
+	// Every goroutine published its own absolute ledger, so the survivor
+	// of the last-writer race holds exactly one goroutine's totals.
 	s := c.Snapshot()
-	var pkts int64
-	for _, ch := range s.Channels {
-		pkts += ch.StripedPackets
-	}
-	if pkts != 8*1000 {
-		t.Fatalf("striped %d, want 8000", pkts)
+	if s.Tx.Packets != 1000 || s.Rx.Delivered != 1000 {
+		t.Fatalf("published totals tx %d rx %d, want one goroutine's 1000", s.Tx.Packets, s.Rx.Delivered)
 	}
 	if s.Displacement.Count != 8*1000 {
 		t.Fatalf("displacement count %d", s.Displacement.Count)

@@ -78,25 +78,62 @@ func WritePrometheus(w io.Writer, cols ...*Collector) {
 
 	perChannelDir("stripe_channel_packets_total", "counter",
 		"Data packets striped onto (tx) or delivered in order from (rx) each channel.",
-		func(c *ChannelSnapshot) int64 { return c.StripedPackets },
-		func(c *ChannelSnapshot) int64 { return c.DeliveredPackets })
+		func(c *ChannelSnapshot) int64 { return c.Tx.Packets },
+		func(c *ChannelSnapshot) int64 { return c.Rx.Delivered })
 	perChannelDir("stripe_channel_bytes_total", "counter",
 		"Data payload bytes striped onto (tx) or delivered in order from (rx) each channel.",
-		func(c *ChannelSnapshot) int64 { return c.StripedBytes },
-		func(c *ChannelSnapshot) int64 { return c.DeliveredBytes })
+		func(c *ChannelSnapshot) int64 { return c.Tx.Bytes },
+		func(c *ChannelSnapshot) int64 { return c.Rx.DeliveredBytes })
 	perChannelDir("stripe_markers_total", "counter",
 		"Synchronization markers emitted on (tx) or consumed from (rx) each channel.",
-		func(c *ChannelSnapshot) int64 { return c.MarkersEmitted },
-		func(c *ChannelSnapshot) int64 { return c.MarkersConsumed })
+		func(c *ChannelSnapshot) int64 { return c.Tx.Markers },
+		func(c *ChannelSnapshot) int64 { return c.Rx.Markers })
+	perChannel("stripe_channel_arrived_packets_total", "counter",
+		"Packets of every kind physically received on each channel; equals delivered + buffered + consumed control + named drops, exactly.",
+		func(c *ChannelSnapshot) int64 { return c.Rx.Arrived })
+	perChannel("stripe_channel_arrived_bytes_total", "counter",
+		"Data payload bytes physically received on each channel, delivered or not.",
+		func(c *ChannelSnapshot) int64 { return c.Rx.ArrivedBytes })
+	perChannel("stripe_channel_buffered_packets", "gauge",
+		"Packets held in each channel's resequencer buffer.",
+		func(c *ChannelSnapshot) int64 { return c.Rx.Buffered })
+	perChannel("stripe_channel_buffered_bytes", "gauge",
+		"Data payload bytes held in each channel's resequencer buffer.",
+		func(c *ChannelSnapshot) int64 { return c.Rx.BufferedBytes })
+	perChannel("stripe_telemetry_blocks_total", "counter",
+		"Peer telemetry blocks consumed from each channel.",
+		func(c *ChannelSnapshot) int64 { return c.Rx.Telemetry })
+	perChannel("stripe_control_packets_total", "counter",
+		"Membership blocks, reset packets and stray credits consumed from each channel.",
+		func(c *ChannelSnapshot) int64 { return c.Rx.Control })
+	metric("stripe_channel_drops_total", "counter",
+		"Received packets discarded, by channel and by name; with delivered, buffered and consumed these account for every arrival.",
+		func(s *Snapshot, base string) {
+			for c := range s.Channels {
+				rx := &s.Channels[c].Rx
+				for _, d := range [...]struct {
+					reason string
+					v      int64
+				}{
+					{"old_epoch", rx.OldEpochDrops}, {"overflow", rx.OverflowDrops},
+					{"member_drop", rx.MemberDrops}, {"member_lost", rx.MemberLost},
+					{"bad_marker", rx.BadMarkers}, {"bad_member", rx.BadMembers},
+					{"bad_telemetry", rx.BadTelemetry}, {"unknown_kind", rx.UnknownKinds},
+				} {
+					sample("stripe_channel_drops_total", base,
+						`channel="`+strconv.Itoa(c)+`",reason="`+d.reason+`"`, d.v)
+				}
+			}
+		})
 	perChannel("stripe_resync_events_total", "counter",
 		"Markers that changed receiver state (expected round or deficit adopted).",
-		func(c *ChannelSnapshot) int64 { return c.Resyncs })
+		func(c *ChannelSnapshot) int64 { return c.Rx.Resyncs })
 	perChannel("stripe_skips_total", "counter",
 		"Channel visits skipped under the r_c > G rule.",
-		func(c *ChannelSnapshot) int64 { return c.Skips })
+		func(c *ChannelSnapshot) int64 { return c.Rx.Skips })
 	perChannel("stripe_blocked_sends_total", "counter",
 		"Send attempts vetoed by credit-based flow control.",
-		func(c *ChannelSnapshot) int64 { return c.BlockedSends })
+		func(c *ChannelSnapshot) int64 { return c.Tx.BlockedSends })
 	perChannel("stripe_channel_lost_packets_total", "counter",
 		"Packets dropped by the physical channel (loss or corruption).",
 		func(c *ChannelSnapshot) int64 { return c.Lost })
@@ -105,34 +142,53 @@ func WritePrometheus(w io.Writer, cols ...*Collector) {
 		func(c *ChannelSnapshot) int64 { return c.QueueDepth })
 	perChannel("stripe_channel_surplus_bytes", "gauge",
 		"Current SRR deficit/surplus counter per channel.",
-		func(c *ChannelSnapshot) int64 { return c.Surplus })
+		func(c *ChannelSnapshot) int64 { return c.Tx.Surplus })
 	perChannel("stripe_channel_quantum_bytes", "gauge",
 		"Configured SRR quantum per channel.",
-		func(c *ChannelSnapshot) int64 { return c.Quantum })
+		func(c *ChannelSnapshot) int64 { return c.Tx.Quantum })
+	perChannel("stripe_channel_join_round", "gauge",
+		"Fairness baseline: the round of each channel's most recent (re)join (0 = since construction).",
+		func(c *ChannelSnapshot) int64 { return int64(c.Tx.JoinRound) })
+	perChannel("stripe_channel_join_bytes", "gauge",
+		"Fairness baseline: data bytes striped onto each channel before its most recent (re)join.",
+		func(c *ChannelSnapshot) int64 { return c.Tx.JoinBytes })
 	perChannel("stripe_credit_remaining_bytes", "gauge",
 		"Unused flow-control credit per channel (0 when flow control is off).",
-		func(c *ChannelSnapshot) int64 { return c.CreditRemaining })
+		func(c *ChannelSnapshot) int64 { return c.Tx.CreditRemaining })
 	perChannel("stripe_markers_drained_total", "counter",
 		"Markers consumed eagerly at arrival instead of in scan order.",
-		func(c *ChannelSnapshot) int64 { return c.MarkersDrained })
+		func(c *ChannelSnapshot) int64 { return c.Rx.EagerMarkers })
 	perChannel("stripe_credit_reconciles_total", "counter",
-		"Credit reconciliations from marker-carried sender positions that wrote off loss.",
-		func(c *ChannelSnapshot) int64 { return c.CreditReconciles })
+		"Markers whose sender position revealed new in-flight loss (which credit reconciliation writes off and re-grants).",
+		func(c *ChannelSnapshot) int64 { return c.Rx.LossMarkers })
 	perChannel("stripe_credit_lost_bytes_total", "counter",
-		"Bytes written off as lost by credit reconciliation and granted back.",
-		func(c *ChannelSnapshot) int64 { return c.LostReconciled })
-	perChannel("stripe_member_joins_total", "counter",
-		"Channel (re)join transitions into the live set.",
-		func(c *ChannelSnapshot) int64 { return c.MemberJoins })
-	perChannel("stripe_member_drains_total", "counter",
-		"Channel drain transitions out of the live set.",
-		func(c *ChannelSnapshot) int64 { return c.MemberDrains })
+		"Data bytes marker sender positions prove lost in flight (written off and granted back under flow control).",
+		func(c *ChannelSnapshot) int64 { return c.Rx.LostBytes })
+	perChannel("stripe_marker_last_arrival_nanoseconds", "gauge",
+		"Process-timebase instant of the newest valid marker received on each channel (0 = never).",
+		func(c *ChannelSnapshot) int64 { return c.Rx.LastMarkerAt })
+	perChannelDir("stripe_marker_stamp_nanoseconds", "gauge",
+		"Sender clock (tx) and receiver clock (rx) of the newest timestamped marker: one one-way delay sample.",
+		func(c *ChannelSnapshot) int64 { return c.Rx.MarkerTxNs },
+		func(c *ChannelSnapshot) int64 { return c.Rx.MarkerRxNs })
+	perChannelDir("stripe_member_joins_total", "counter",
+		"Channel (re)join transitions applied by the transmit (tx) and receive (rx) engines.",
+		func(c *ChannelSnapshot) int64 { return c.Tx.Joins },
+		func(c *ChannelSnapshot) int64 { return c.Rx.MemberJoins })
+	perChannelDir("stripe_member_drains_total", "counter",
+		"Channel removals applied by the transmit engine (tx) and retirements completed by the receive engine (rx).",
+		func(c *ChannelSnapshot) int64 { return c.Tx.Drains },
+		func(c *ChannelSnapshot) int64 { return c.Rx.MemberDrains })
 	perChannel("stripe_member_evictions_total", "counter",
 		"Health-monitor forced removals (consecutive send errors or marker silence).",
 		func(c *ChannelSnapshot) int64 { return c.MemberEvictions })
 	perChannel("stripe_member_reinstates_total", "counter",
 		"Health-monitor re-admissions after recovery.",
 		func(c *ChannelSnapshot) int64 { return c.MemberReinstates })
+	perChannelDir("stripe_member_state", "gauge",
+		"Slot lifecycle state in the transmit (tx) and receive (rx) live sets: 0 active, 1 draining, 2 removed.",
+		func(c *ChannelSnapshot) int64 { return memberState(false, c.Tx.Removed) },
+		func(c *ChannelSnapshot) int64 { return memberState(c.Rx.Draining, c.Rx.Removed) })
 	perChannel("stripe_member_active", "gauge",
 		"Live-set membership per channel (1 = striping, 0 = removed).",
 		func(c *ChannelSnapshot) int64 {
@@ -145,6 +201,9 @@ func WritePrometheus(w io.Writer, cols ...*Collector) {
 	scalar("stripe_round", "gauge",
 		"Sender global round number G.",
 		func(s *Snapshot) int64 { return int64(s.Round) })
+	scalar("stripe_epoch", "gauge",
+		"Sender reset epoch.",
+		func(s *Snapshot) int64 { return int64(s.Epoch) })
 	scalar("stripe_max_packet_bytes", "gauge",
 		"Largest data payload striped so far (the Max of Theorem 3.2).",
 		func(s *Snapshot) int64 { return s.MaxPacket })
@@ -159,10 +218,10 @@ func WritePrometheus(w io.Writer, cols ...*Collector) {
 		func(s *Snapshot) int64 { return s.FastForwards })
 	scalar("stripe_bad_markers_total", "counter",
 		"Markers dropped as corrupt or mis-addressed.",
-		func(s *Snapshot) int64 { return s.BadMarkers })
+		func(s *Snapshot) int64 { return s.Rx.BadMarkers })
 	scalar("stripe_old_epoch_drops_total", "counter",
 		"Packets discarded while waiting out an epoch reset.",
-		func(s *Snapshot) int64 { return s.OldEpochDrops })
+		func(s *Snapshot) int64 { return s.Rx.OldEpochDrops })
 	scalar("stripe_credit_stall_nanoseconds_total", "counter",
 		"Total wall-clock time senders spent blocked on exhausted credit.",
 		func(s *Snapshot) int64 { return int64(s.CreditStall) })
@@ -180,7 +239,7 @@ func WritePrometheus(w io.Writer, cols ...*Collector) {
 		func(s *Snapshot) int64 { return s.ReseqOverflows })
 	scalar("stripe_reseq_overflow_drops_total", "counter",
 		"Arrivals discarded at the resequencer's hard buffer cap.",
-		func(s *Snapshot) int64 { return s.OverflowDrops })
+		func(s *Snapshot) int64 { return s.Rx.OverflowDrops })
 	scalar("stripe_fairness_discrepancy_bytes", "gauge",
 		"Live fairness gauge: max over channels of |K*Quantum_i - bytes_i|.",
 		func(s *Snapshot) int64 { return s.FairnessDiscrepancy })
@@ -290,7 +349,7 @@ func WritePrometheus(w io.Writer, cols ...*Collector) {
 		func(t *TracerSnapshot) int64 { return t.Torn })
 
 	scalar("stripe_invariant_violations_total", "counter",
-		"Invariant-checker findings (Theorem 3.2 band, credit conservation, monotone rounds); any nonzero value is a protocol bug.",
+		"Invariant-checker findings (packet conservation, Theorem 3.2 band, credit conservation, monotone rounds); any nonzero value is a protocol bug.",
 		func(s *Snapshot) int64 { return s.InvariantViolations })
 
 	// Windowed telemetry: present only on collectors with a Windows
@@ -422,6 +481,18 @@ func WritePrometheus(w io.Writer, cols ...*Collector) {
 				sample("stripe_channel_oneway_delay_nanoseconds", base, chLabel(p.Channels[i].Channel), p.Channels[i].OneWayDelayNs)
 			}
 		})
+}
+
+// memberState encodes a slot's lifecycle position for the
+// stripe_member_state gauge.
+func memberState(draining, removed bool) int64 {
+	switch {
+	case removed:
+		return 2
+	case draining:
+		return 1
+	}
+	return 0
 }
 
 // WritePrometheus renders this collector alone; see the package-level

@@ -22,10 +22,8 @@ func TestWritePrometheusLifecycle(t *testing.T) {
 		c.TraceArrive(key, int(key%2))
 		c.TraceDeliver(key, int64(key%3))
 	}
-	c.SetRound(5)
-	c.RunChecks()
-	c.SetRound(1)
-	c.RunChecks() // one seeded violation
+	c.PublishSend(&SendLedger{Round: 5})
+	c.PublishSend(&SendLedger{Round: 1}) // one seeded violation
 
 	var sb strings.Builder
 	WritePrometheus(&sb, c)

@@ -1,8 +1,8 @@
 // Windowed telemetry: the rollup engine that turns the collector's
 // cumulative counters into "what is happening now, per channel".
 //
-// A Windows attached to a Collector samples the per-channel counter
-// slab into a fixed ring at a configured tick and, from the ring,
+// A Windows attached to a Collector samples the published ledger rows
+// into a fixed ring at a configured tick and, from the ring,
 // derives per-channel rates over one or more sliding spans (default
 // 1s / 10s / 60s): goodput, loss fraction, marker-resync rate,
 // credit-stall fraction, a send-latency EWMA (when a Tracer is
@@ -13,12 +13,9 @@
 // Prometheus gauges) never contend with the fold.
 //
 // Folding is driven from Collector.RunChecks — the engine flush path
-// that already runs at marker cadence — through a deadline-gated fast
-// path: between ticks the cost is one atomic load and a compare, and
-// the fold itself touches no per-packet state. Nothing here runs per
-// packet; that is the discipline behind the collector+tracer+windows
-// row of BenchmarkInstrumentationOverhead staying within 7% of
-// collector-only.
+// — through a deadline-gated fast path: between ticks the cost is one
+// atomic load and a compare, and the fold itself touches no per-packet
+// state. Nothing here runs per packet.
 package obs
 
 import (
@@ -45,29 +42,16 @@ type WindowConfig struct {
 	ScoreSpan time.Duration
 }
 
-// chanSample is one channel's cumulative counter values at a tick.
-type chanSample struct {
-	stripedPkts     int64
-	stripedBytes    int64
-	deliveredPkts   int64
-	deliveredBytes  int64
-	markersConsumed int64
-	resyncs         int64
-	lost            int64
-	blockedSends    int64
-	lostReconciled  int64
-	latSum          int64 // tracer per-channel e2e latency sum (ns)
-	latCnt          int64
-	lastMarkerAt    int64 // process-timebase ns of the newest consumed marker
-	inactive        bool
-}
-
-// windowRow is one tick's sample of the whole collector.
+// windowRow is one tick's sample of the whole collector: every
+// channel's published ledger rows plus the tracer's per-channel
+// end-to-end latency sums.
 type windowRow struct {
 	at          int64 // process-timebase ns
 	round       uint64
 	creditStall int64
-	ch          []chanSample
+	ch          []ChannelSnapshot
+	latSum      []int64 // ns
+	latCnt      []int64
 }
 
 // Windows is the rollup engine. Create with NewWindows (which attaches
@@ -171,10 +155,12 @@ func NewWindows(c *Collector, cfg WindowConfig) *Windows {
 		spans:    spans,
 		scoreIdx: scoreIdx,
 		ring:     make([]windowRow, depth),
-		ewma:     make([]int64, len(c.ch)),
+		ewma:     make([]int64, c.n),
 	}
 	for i := range w.ring {
-		w.ring[i].ch = make([]chanSample, len(c.ch))
+		w.ring[i].ch = make([]ChannelSnapshot, c.n)
+		w.ring[i].latSum = make([]int64, c.n)
+		w.ring[i].latCnt = make([]int64, c.n)
 	}
 	c.SetWindows(w)
 	return w
@@ -205,7 +191,7 @@ func (w *Windows) Fold() {
 	if w == nil {
 		return
 	}
-	now := sinceEpoch()
+	now := Now()
 	w.nextFold.Store(now + w.tick)
 	w.fold(now)
 }
@@ -215,7 +201,7 @@ func (w *Windows) Fold() {
 //
 //stripe:hotpath
 func (w *Windows) maybeFold() {
-	now := sinceEpoch()
+	now := Now()
 	dl := w.nextFold.Load()
 	if now < dl {
 		return
@@ -241,37 +227,24 @@ func (w *Windows) fold(now int64) {
 		w.n++
 	}
 	row.at = now
-	row.round = w.c.round.Load()
 	row.creditStall = w.c.creditStall.Load()
+	row.round = w.c.readChannels(row.ch)
 	t := w.c.tracer.Load()
 	for i := range row.ch {
-		cc := &w.c.ch[i]
-		s := &row.ch[i]
-		s.stripedPkts = cc.stripedPkts.Load()
-		s.stripedBytes = cc.stripedBytes.Load()
-		s.deliveredPkts = cc.deliveredPkts.Load()
-		s.deliveredBytes = cc.deliveredBytes.Load()
-		s.markersConsumed = cc.markersConsumed.Load()
-		s.resyncs = cc.resyncs.Load()
-		s.lost = cc.lost.Load()
-		s.blockedSends = cc.blockedSends.Load()
-		s.lostReconciled = cc.lostReconciled.Load()
-		s.lastMarkerAt = cc.lastMarkerAt.Load()
-		s.inactive = cc.inactive.Load()
-		s.latSum, s.latCnt = 0, 0
+		row.latSum[i], row.latCnt[i] = 0, 0
 		if t != nil && i < maxLatChannels {
-			s.latSum = t.latSumOn[i].Load()
-			s.latCnt = t.latCntOn[i].Load()
+			row.latSum[i] = t.latSumOn[i].Load()
+			row.latCnt[i] = t.latCntOn[i].Load()
 		}
 	}
 	// Advance the per-channel send-latency EWMA from this tick's delta.
 	// Alpha 3/8: a degraded channel dominates the estimate within a few
 	// ticks without one outlier sample owning it.
 	if w.n >= 2 {
-		prev := w.ring[(w.head-2+len(w.ring))%len(w.ring)].ch
+		prev := &w.ring[(w.head-2+len(w.ring))%len(w.ring)]
 		for i := range row.ch {
-			dc := row.ch[i].latCnt - prev[i].latCnt
-			ds := row.ch[i].latSum - prev[i].latSum
+			dc := row.latCnt[i] - prev.latCnt[i]
+			ds := row.latSum[i] - prev.latSum[i]
 			if dc > 0 && ds >= 0 {
 				mean := ds / dc
 				if w.ewma[i] == 0 {
@@ -369,29 +342,29 @@ func (w *Windows) spanRates(newest, base *windowRow, span time.Duration) WindowS
 	// (at least) that spread.
 	var newestMark int64
 	for i := range newest.ch {
-		if c := &newest.ch[i]; !c.inactive && c.lastMarkerAt > newestMark {
-			newestMark = c.lastMarkerAt
+		if c := &newest.ch[i]; c.MemberActive && c.Rx.LastMarkerAt > newestMark {
+			newestMark = c.Rx.LastMarkerAt
 		}
 	}
 	var txB, rxB int64
 	for i := range newest.ch {
 		nc, bc := &newest.ch[i], &base.ch[i]
-		dStripedP := delta(nc.stripedPkts, bc.stripedPkts)
-		dStripedB := delta(nc.stripedBytes, bc.stripedBytes)
-		dDelivP := delta(nc.deliveredPkts, bc.deliveredPkts)
-		dDelivB := delta(nc.deliveredBytes, bc.deliveredBytes)
-		dMarkers := delta(nc.markersConsumed, bc.markersConsumed)
-		dResync := delta(nc.resyncs, bc.resyncs)
-		dLost := delta(nc.lost, bc.lost)
-		dBlocked := delta(nc.blockedSends, bc.blockedSends)
-		dLostRec := delta(nc.lostReconciled, bc.lostReconciled)
+		dStripedP := delta(nc.Tx.Packets, bc.Tx.Packets)
+		dStripedB := delta(nc.Tx.Bytes, bc.Tx.Bytes)
+		dDelivP := delta(nc.Rx.Delivered, bc.Rx.Delivered)
+		dDelivB := delta(nc.Rx.DeliveredBytes, bc.Rx.DeliveredBytes)
+		dMarkers := delta(nc.Rx.Markers, bc.Rx.Markers)
+		dResync := delta(nc.Rx.Resyncs, bc.Rx.Resyncs)
+		dLost := delta(nc.Lost, bc.Lost)
+		dBlocked := delta(nc.Tx.BlockedSends, bc.Tx.BlockedSends)
+		dLostRec := delta(nc.Rx.LostBytes, bc.Rx.LostBytes)
 		txB += dStripedB
 		rxB += dDelivB
 
 		// Loss evidence, best of two estimators: packets the channel
 		// itself reported dropping (instrumented channels), and bytes
-		// the credit machinery wrote off against marker positions
-		// (uninstrumented but flow-controlled channels).
+		// the markers' sender positions prove lost in flight (any
+		// channel, read off the receive ledger).
 		loss := frac(dLost, dStripedP)
 		if rec := frac(dLostRec, dStripedB); rec > loss {
 			loss = rec
@@ -399,7 +372,7 @@ func (w *Windows) spanRates(newest, base *windowRow, span time.Duration) WindowS
 
 		r := ChannelRates{
 			Channel:         i,
-			Active:          !nc.inactive,
+			Active:          nc.MemberActive,
 			TxPacketsPerSec: perSec(dStripedP),
 			TxBytesPerSec:   perSec(dStripedB),
 			RxPacketsPerSec: perSec(dDelivP),
@@ -412,10 +385,10 @@ func (w *Windows) spanRates(newest, base *windowRow, span time.Duration) WindowS
 			BlockedFrac:     frac(dBlocked, dBlocked+dStripedP),
 			LatencyEWMA:     w.ewma[i],
 		}
-		if nc.lastMarkerAt > 0 {
-			r.MarkerAge = newest.at - nc.lastMarkerAt
-			if r.Active && newestMark > nc.lastMarkerAt {
-				r.DelaySkew = newestMark - nc.lastMarkerAt
+		if at := nc.Rx.LastMarkerAt; at > 0 {
+			r.MarkerAge = newest.at - at
+			if r.Active && newestMark > at {
+				r.DelaySkew = newestMark - at
 			}
 		} else {
 			r.MarkerAge = -1
@@ -473,8 +446,8 @@ type ChannelRates struct {
 	// the freshest channel's, in nanoseconds — the marker-spread
 	// estimate of inter-channel one-way-delay skew.
 	DelaySkew int64
-	// MarkerAge is nanoseconds since this channel's newest consumed
-	// marker; -1 when the channel has never delivered one.
+	// MarkerAge is nanoseconds since this channel's newest marker
+	// arrival; -1 when the channel has never delivered one.
 	MarkerAge int64
 }
 

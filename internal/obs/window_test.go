@@ -86,27 +86,22 @@ func TestQuantileEdgeCases(t *testing.T) {
 func TestWindowDeltaMath(t *testing.T) {
 	c := NewCollector(2)
 	w := NewWindows(c, WindowConfig{Tick: time.Hour, Spans: []time.Duration{time.Hour}})
+	w.nextFold.Store(1 << 62) // only the injected folds below run
 
 	w.fold(0) // baseline row at t=0
 
 	// One second of traffic: channel 0 stripes 100 pkts / 100kB and
 	// loses 25 of them; channel 1 delivers 50 pkts / 30kB, consumes 10
-	// markers, resyncs 5 times, and writes off 5kB via reconciliation.
-	c.SyncStriped(0, 100, 100_000)
-	for i := 0; i < 25; i++ {
-		c.OnChannelLost(0)
+	// markers, resyncs 5 times, and its markers prove 5kB lost in flight.
+	l := newTestLedgers(c)
+	l.send.PerChannel[0] = SendChannel{Packets: 100, Bytes: 100_000}
+	c.SetChannelSource(0, func() (int64, int64) { return 25, 0 })
+	l.send.PerChannel[1] = SendChannel{Packets: 100, Bytes: 50_000}
+	l.recv.PerChannel[1] = RecvChannel{
+		Arrived: 60, ArrivedBytes: 30_000, Delivered: 50, DeliveredBytes: 30_000,
+		Markers: 10, Resyncs: 5, LossMarkers: 1, LostBytes: 5_000,
 	}
-	c.SyncStriped(1, 100, 50_000)
-	for i := 0; i < 50; i++ {
-		c.OnDelivered(1, 600, 0)
-	}
-	for i := 0; i < 10; i++ {
-		c.OnMarkerConsumed(1)
-	}
-	for i := 0; i < 5; i++ {
-		c.OnResync(1, uint64(i), 0)
-	}
-	c.OnCreditReconciled(1, 5_000)
+	l.publish()
 	w.fold(int64(time.Second))
 
 	snap := w.Latest()
@@ -139,23 +134,26 @@ func TestWindowDeltaMath(t *testing.T) {
 }
 
 // TestWindowRebaseClampsNegativeDeltas pins restart/rebase safety: an
-// engine republishing lower absolute totals (SyncStriped after a
+// engine republishing lower absolute totals (PublishSend after a
 // restart) must read as a quiet window, never as negative rates, and
-// RebaseFairness must neither disturb the windowed rates nor be
-// disturbed by folding.
+// a rebased fairness baseline must neither disturb the windowed rates
+// nor be disturbed by folding.
 func TestWindowRebaseClampsNegativeDeltas(t *testing.T) {
 	c := NewCollector(1)
-	c.SetQuantum(0, 1500)
 	w := NewWindows(c, WindowConfig{Tick: time.Hour, Spans: []time.Duration{time.Hour}})
+	w.nextFold.Store(1 << 62) // only the injected folds below run
 
-	c.SyncStriped(0, 100, 150_000)
-	c.SetRound(100)
+	l := newTestLedgers(c, 1500)
+	l.send.PerChannel[0].Packets, l.send.PerChannel[0].Bytes = 100, 150_000
+	l.send.Round = 100
+	l.publish()
 	w.fold(0)
 
 	// Restart: totals legally move backwards.
-	c.SyncStriped(0, 10, 15_000)
-	c.SetRound(10)
-	c.RebaseFairness(0, 10)
+	l.send.PerChannel[0].Packets, l.send.PerChannel[0].Bytes = 10, 15_000
+	l.send.Round = 10
+	l.send.PerChannel[0].JoinRound, l.send.PerChannel[0].JoinBytes = 10, 15_000
+	l.publish()
 	discBefore, boundBefore := c.Fairness()
 
 	w.fold(int64(time.Second))
@@ -177,7 +175,8 @@ func TestWindowRebaseClampsNegativeDeltas(t *testing.T) {
 
 	// Traffic after the rebase is measured from the post-restart row:
 	// 30kB of new bytes over the 1s since the last fold.
-	c.SyncStriped(0, 30, 45_000)
+	l.send.PerChannel[0].Packets, l.send.PerChannel[0].Bytes = 30, 45_000
+	l.publish()
 	w.fold(int64(2 * time.Second))
 	sp = w.Latest().Spans[0]
 	if got := sp.Channels[0].TxBytesPerSec; got != 30_000 {
@@ -279,7 +278,6 @@ func TestWindowFoldOnRunChecks(t *testing.T) {
 	if c.Windows() != w {
 		t.Fatal("NewWindows did not attach to the collector")
 	}
-	c.SyncStriped(0, 10, 10_000)
 	deadline := time.Now().Add(2 * time.Second)
 	for w.Latest() == nil {
 		c.RunChecks()

@@ -23,6 +23,10 @@ func TestSessionGracefulMembership(t *testing.T) {
 	colB := NewNamedCollector("gm-b", nch)
 	colA.SetChecker(NewChecker())
 	colB.SetChecker(NewChecker())
+	frA := NewFlightRecorder(colA, FlightRecorderConfig{})
+	frB := NewFlightRecorder(colB, FlightRecorderConfig{})
+	colA.AddSink(frA)
+	colB.AddSink(frB)
 
 	mk := func(base int64) []*LocalChannel {
 		chs := make([]*LocalChannel, nch)
@@ -123,6 +127,7 @@ func TestSessionGracefulMembership(t *testing.T) {
 	}
 
 	snapA, snapB := a.Snapshot(), b.Snapshot()
+	statsB := b.Stats()
 	a.Close()
 	b.Close()
 	for i := 0; i < nch; i++ {
@@ -138,8 +143,171 @@ func TestSessionGracefulMembership(t *testing.T) {
 	if got := fifoBreaks.Load(); got != 0 {
 		t.Errorf("%d FIFO violations across the membership changes", got)
 	}
+	if statsB.MemberDrops != 0 || statsB.MemberLost != 0 {
+		t.Errorf("receiver dropped %d arrivals on a removed slot and declared %d lost at retirement; a delimited drain loses nothing",
+			statsB.MemberDrops, statsB.MemberLost)
+	}
 	if v := snapA.InvariantViolations + snapB.InvariantViolations; v != 0 {
-		t.Errorf("%d invariant violations; membership changes must not leak credits", v)
+		t.Errorf("%d invariant violations; membership changes must not leak credits or packets: %v %v",
+			v, snapA.Violations, snapB.Violations)
+	}
+	if t.Failed() {
+		// Name the cause: every channel's fate ledger on both ends, and
+		// whatever the flight recorders caught.
+		for _, end := range []struct {
+			name string
+			snap Snapshot
+			fr   *FlightRecorder
+		}{{"a", snapA, frA}, {"b", snapB, frB}} {
+			for c, ch := range end.snap.Channels {
+				t.Logf("%s channel %d: tx %+v", end.name, c, ch.Tx)
+				t.Logf("%s channel %d: rx %+v", end.name, c, ch.Rx)
+			}
+			if d, ok := end.fr.LastDump(); ok {
+				t.Logf("%s flight recorder: %s on %v; last events %v", end.name, d.Reason, d.Trigger, d.Events)
+			}
+		}
+	}
+}
+
+// blackhole is a ChannelSender whose link can die silently: once dead,
+// sends still succeed but nothing reaches the peer.
+type blackhole struct {
+	ChannelSender
+	dead     atomic.Bool
+	lostData atomic.Int64
+}
+
+func (h *blackhole) Send(p *Packet) error {
+	if h.dead.Load() {
+		if p.Kind == KindData {
+			h.lostData.Add(1)
+		}
+		return nil
+	}
+	return h.ChannelSender.Send(p)
+}
+
+// TestSessionGracefulMembershipDeadLink removes a channel gracefully
+// while its link is silently dropping everything, so the departing
+// channel's tail and its FIFO delimiter never arrive. The peer's receive slot then
+// has only the marker timer's drain clock to retire it: the slot must
+// reach MemberRemoved and every packet striped over the survivors must
+// still be delivered in order, with flow control and without.
+func TestSessionGracefulMembershipDeadLink(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		window int64
+	}{{"no-credit", 0}, {"credit", 16 * 1024}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const nch = 3
+			const total = 3000
+			mk := func(base int64) []*LocalChannel {
+				chs := make([]*LocalChannel, nch)
+				for i := range chs {
+					chs[i] = NewLocalChannel(LocalChannelConfig{Delay: 100 * time.Microsecond, Seed: base + int64(i)})
+				}
+				return chs
+			}
+			a2b, b2a := mk(31), mk(47)
+			hole := &blackhole{ChannelSender: a2b[2]}
+			txA := []ChannelSender{a2b[0], a2b[1], hole}
+			txB := []ChannelSender{b2a[0], b2a[1], b2a[2]}
+			colB := NewCollector(nch)
+			colB.SetChecker(NewChecker())
+			cfg := func(col *Collector) SessionConfig {
+				return SessionConfig{
+					Config:         Config{Quanta: UniformQuanta(nch, 1500), Mode: ModeLogical, Collector: col},
+					CreditWindow:   tc.window,
+					MarkerInterval: 2 * time.Millisecond,
+				}
+			}
+			a, err := NewSession(txA, cfg(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewSession(txB, cfg(colB))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < nch; i++ {
+				wg.Add(2)
+				go func(i int) {
+					defer wg.Done()
+					for p := range a2b[i].Out() {
+						b.Arrive(i, p)
+					}
+				}(i)
+				go func(i int) {
+					defer wg.Done()
+					for p := range b2a[i].Out() {
+						a.Arrive(i, p)
+					}
+				}(i)
+			}
+			var delivered, fifoBreaks atomic.Int64
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				last := int64(-1)
+				for p := b.Recv(); p != nil; p = b.Recv() {
+					idx := int64(binary.BigEndian.Uint64(p.Payload[:8]))
+					if idx <= last {
+						fifoBreaks.Add(1)
+					}
+					last = idx
+					delivered.Add(1)
+				}
+			}()
+
+			for i := 0; i < total; i++ {
+				switch i {
+				case total / 3:
+					hole.dead.Store(true) // the tail from here on is lost
+				case total/3 + 30:
+					if err := a.RemoveChannel(2); err != nil { // and so is the delimiter
+						t.Fatal(err)
+					}
+				}
+				payload := make([]byte, 200)
+				binary.BigEndian.PutUint64(payload, uint64(i))
+				if err := a.SendBytes(payload); err != nil {
+					t.Fatalf("send %d: %v", i, err)
+				}
+			}
+			want := total - hole.lostData.Load()
+			deadline := time.Now().Add(10 * time.Second)
+			for time.Now().Before(deadline) && delivered.Load() < want {
+				time.Sleep(time.Millisecond)
+			}
+			_, rx := b.ChannelState(2)
+			snapB := b.Snapshot()
+			a.Close()
+			b.Close()
+			for i := 0; i < nch; i++ {
+				a2b[i].Close()
+				b2a[i].Close()
+			}
+			wg.Wait()
+			<-done
+
+			if hole.lostData.Load() == 0 {
+				t.Fatal("the dead link carried no data; the test exercised nothing")
+			}
+			if got := delivered.Load(); got != want {
+				t.Errorf("delivered %d packets, want the %d striped over live links", got, want)
+			}
+			if got := fifoBreaks.Load(); got != 0 {
+				t.Errorf("%d FIFO violations", got)
+			}
+			if rx != MemberRemoved {
+				t.Errorf("receive slot 2 is %v, want removed by the drain clock; row %+v", rx, snapB.Channels[2].Rx)
+			}
+			if snapB.InvariantViolations != 0 {
+				t.Errorf("invariant violations: %v", snapB.Violations)
+			}
+		})
 	}
 }
 

@@ -7,12 +7,16 @@ import (
 	"stripe/internal/obs"
 )
 
-// Collector is the lock-free runtime metrics core. Create one with
-// NewCollector, attach it via Config.Collector, and read it with
-// Snapshot (on the collector or on the Sender/Receiver/Session it is
-// attached to), expose it over HTTP with Serve, or subscribe to
-// protocol events with AddSink. All methods are nil-safe, so an
-// unobserved configuration pays only a pointer test per packet.
+// Collector publishes the engines' ledgers — the counters Stats
+// returns, which the sender and receiver keep in plain fields and hand
+// over at their flush points — and carries the protocol event bus.
+// Create one with NewCollector, attach it via Config.Collector, and
+// read it with Snapshot (on the Sender/Receiver/Session it is attached
+// to, which flushes first and is exact, or on the collector, which lags
+// by at most 64 packets or a marker interval), expose it over HTTP with
+// Serve, or subscribe to protocol events with AddSink. All methods are
+// nil-safe, so an unobserved configuration pays only a pointer test per
+// packet.
 type Collector = obs.Collector
 
 // NewCollector returns a collector sized for n channels.
@@ -109,8 +113,10 @@ func NewFlightRecorder(c *Collector, cfg FlightRecorderConfig) *FlightRecorder {
 }
 
 // Checker is the runtime invariant checker: on every engine flush it
-// asserts the Theorem 3.2 fairness band, per-channel credit
-// conservation, and monotone round progression, surfacing violations
+// asserts per-channel packet conservation (every received packet has a
+// named fate in the receive ledger, exactly), the Theorem 3.2 fairness
+// band, per-channel credit conservation, and monotone round
+// progression, surfacing violations
 // as events, metrics, and Snapshot.Violations. Attach with
 // Collector.SetChecker (NewSession registers the credit ledgers
 // automatically when flow control is on).
@@ -142,7 +148,7 @@ func NewRingSink(n int) *RingSink { return obs.NewRingSink(n) }
 func NewWriterSink(w io.Writer) *obs.WriterSink { return obs.NewWriterSink(w) }
 
 // Windows is the windowed-telemetry rollup engine: it folds the
-// collector's cumulative counters into ring-buffered sliding windows
+// published ledgers' cumulative counters into ring-buffered sliding windows
 // (default 1s/10s/60s) of per-channel goodput, loss fraction, marker
 // resync rate, credit-stall fraction, send-latency EWMAs, and
 // inter-channel delay skew, plus a 0-100 HealthScore per channel.
@@ -207,13 +213,14 @@ type PeerChannel = obs.PeerChannel
 // own.
 func NewPeerView(n int) *PeerView { return obs.NewPeerView(n) }
 
-// ReceiverStats are the receive-side protocol counters returned by
-// Receiver.Stats and Session.Stats; see doc.go for field meanings.
+// ReceiverStats is the receive ledger returned by Receiver.Stats and
+// Session.Stats: totals on the value itself, one row per channel in
+// PerChannel. See doc.go for field meanings.
 type ReceiverStats = core.ResequencerStats
 
-// SenderStats are the transmit-side counters returned by Sender.Stats
-// and Session.SendStats; see doc.go for field meanings.
+// SenderStats is the send ledger returned by Sender.Stats and
+// Session.SendStats; see doc.go for field meanings.
 type SenderStats = core.StriperStats
 
-// ChannelLoad is the per-channel data load inside SenderStats.
+// ChannelLoad is one channel's row of SenderStats.
 type ChannelLoad = core.ChannelLoad

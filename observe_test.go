@@ -57,7 +57,7 @@ func TestFairnessGaugeUnderFigure15Workload(t *testing.T) {
 	st := tx.Stats()
 	var colBytes int64
 	for _, ch := range s.Channels {
-		colBytes += ch.StripedBytes
+		colBytes += ch.Tx.Bytes
 	}
 	if colBytes != st.DataBytes {
 		t.Fatalf("collector bytes %d != Stats bytes %d", colBytes, st.DataBytes)
@@ -398,7 +398,7 @@ func TestSessionCollectorWiring(t *testing.T) {
 	st := a.SendStats()
 	var colPkts int64
 	for _, ch := range sa.Channels {
-		colPkts += ch.StripedPackets
+		colPkts += ch.Tx.Packets
 	}
 	if colPkts != st.DataPackets || st.DataPackets != n {
 		t.Fatalf("collector %d / stats %d / want %d data packets", colPkts, st.DataPackets, n)
@@ -407,7 +407,7 @@ func TestSessionCollectorWiring(t *testing.T) {
 	// have exhausted credits at least once.
 	var blocked int64
 	for _, ch := range sa.Channels {
-		blocked += ch.BlockedSends
+		blocked += ch.Tx.BlockedSends
 	}
 	if blocked == 0 {
 		t.Fatal("no blocked sends despite credit window smaller than traffic")
@@ -416,10 +416,10 @@ func TestSessionCollectorWiring(t *testing.T) {
 		t.Fatal("no credit-stall time recorded")
 	}
 
-	sb := colB.Snapshot()
+	sb := b.Snapshot()
 	var delivered int64
 	for _, ch := range sb.Channels {
-		delivered += ch.DeliveredPackets
+		delivered += ch.Rx.Delivered
 	}
 	if delivered != n {
 		t.Fatalf("receive collector counted %d deliveries, want %d", delivered, n)

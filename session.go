@@ -107,11 +107,12 @@ type Session struct {
 	quanta     []int64
 	autoMaxBuf bool // MaxBuffered was derived; recompute it on membership changes
 	health     HealthConfig
-	evicted    []bool      // health-evicted, candidates for automatic reinstatement
-	probeOK    []int       // consecutive successful probes per evicted channel
-	lastMarker []time.Time // last marker arrival per channel, for silence detection
-	lowScore   []int       // consecutive below-threshold health-score windows
-	lastFoldAt int64       // AtNs of the newest rollup the score check consumed
+	evicted    []bool  // health-evicted, candidates for automatic reinstatement
+	probeOK    []int   // consecutive successful probes per evicted channel
+	admittedAt []int64 // obs.Now() of each channel's last (re)admission; silence detection ignores older markers
+	drainTicks []int   // marker batches each receive slot has sat draining and empty
+	lowScore   []int   // consecutive below-threshold health-score windows
+	lastFoldAt int64   // AtNs of the newest rollup the score check consumed
 
 	// Peer telemetry plane (guarded by mu where noted; the PeerView has
 	// its own internal synchronization).
@@ -143,7 +144,8 @@ func NewSession(channels []ChannelSender, cfg SessionConfig) (*Session, error) {
 	s.health = cfg.Health
 	s.evicted = make([]bool, n)
 	s.probeOK = make([]int, n)
-	s.lastMarker = make([]time.Time, n)
+	s.admittedAt = make([]int64, n)
+	s.drainTicks = make([]int, n)
 	s.lowScore = make([]int, n)
 	s.peerLow = make([]int, n)
 	s.peer = obs.NewPeerView(n)
@@ -223,31 +225,27 @@ func NewSession(channels []ChannelSender, cfg SessionConfig) (*Session, error) {
 			return nil, err
 		}
 		// Invoked from the transmit path with s.mu already held.
-		mgr, err := flowcontrol.NewManager(n, cfg.CreditWindow, func(c int) int64 {
-			return rs.DeliveredBytesOn(c)
-		})
+		mgr, err := flowcontrol.NewManager(n, cfg.CreditWindow, rs.ReleasedBytesOn)
 		if err != nil {
 			return nil, err
 		}
-		gate.SetObs(cfg.Collector)
-		mgr.SetObs(cfg.Collector)
 		s.gate = gate
 		s.mgr = mgr
 		scfg.Gate = gate
 		scfg.MarkerCredits = func(c int) uint64 { return uint64(mgr.GrantFor(c)) }
 		// Feed the invariant checker the gate's live credit ledgers. The
 		// checker runs from flush paths that already hold s.mu, which is
-		// also what guards the gate, so the reads are consistent.
-		window := cfg.CreditWindow
+		// also what guards the gate, so the reads are consistent (and one
+		// slice serves every call).
+		accts := make([]obs.CreditAccount, n)
 		cfg.Collector.SetCreditSource(func() []obs.CreditAccount {
-			accts := make([]obs.CreditAccount, n)
-			for c := 0; c < n; c++ {
+			for c := range accts {
 				sent := gate.Sent(c)
 				accts[c] = obs.CreditAccount{
 					Channel:  c,
 					Granted:  sent + gate.Remaining(c),
 					Consumed: sent,
-					Window:   window,
+					Window:   cfg.CreditWindow,
 					Retired:  gate.Retired(c),
 				}
 			}
@@ -282,7 +280,7 @@ func (s *Session) markerTimer(interval time.Duration) {
 			return
 		case <-t.C:
 			s.mu.Lock()
-			s.st.EmitMarkers()
+			s.emitMarkersLocked()
 			// Report this end's receive-side view back to the peer on the
 			// same cadence the markers flow at. A send error feeds the
 			// chosen channel's error streak, which the health tick below
@@ -396,15 +394,14 @@ func (s *Session) Arrive(c int, p *Packet) {
 	// transmit side live even when the application is slow to Recv.
 	if p.Kind == KindMarker {
 		if m, err := packet.MarkerOf(p); err == nil && int(m.Channel) == c && c >= 0 && c < s.n {
-			s.lastMarker[c] = time.Now()
 			// Reconcile before the resequencer sees the marker: right now
 			// the per-channel FIFO guarantees every data byte the peer
 			// sent before cutting this marker has either arrived or is
 			// lost, so Sent − arrived is the channel's exact cumulative
 			// loss and the peer's window can be re-granted past it.
 			if s.mgr != nil {
-				s.mgr.Reconcile(c, int64(m.Sent),
-					s.rs.ArrivedBytesOn(c), s.rs.BufferedBytesOn(c))
+				row := s.rs.Channel(c)
+				s.mgr.Reconcile(c, int64(m.Sent), row.ArrivedBytes, row.BufferedBytes)
 			}
 			if s.gate != nil && m.Credits > 0 {
 				if s.gate.ApplyGrant(c, int64(m.Credits)) != nil {
@@ -476,8 +473,31 @@ func (s *Session) RecvBatch(dst []*Packet) int {
 // EmitMarkers cuts a marker batch (with piggybacked credits) now.
 func (s *Session) EmitMarkers() {
 	s.mu.Lock()
-	s.st.EmitMarkers()
+	s.emitMarkersLocked()
 	s.mu.Unlock()
+}
+
+// emitMarkersLocked cuts a marker batch, publishes the receive ledger
+// (an idle receiver's scrape lags by at most this cadence), and
+// advances the death clock of draining receive slots. A slot drains
+// until its own FIFO delimiter arrives; the peer repeats the departure
+// announcement for core.MemberAnnounceBatches of its marker batches, so
+// a slot still draining with an empty buffer after that many of this
+// end's batches — timer-driven or manual, the two ends share a cadence —
+// has lost its delimiter with the link, and is declared dead so the
+// delivery scan stops waiting on it. Caller holds s.mu.
+func (s *Session) emitMarkersLocked() {
+	s.st.EmitMarkers()
+	s.rs.SyncObs()
+	for c := range s.drainTicks {
+		if s.rs.MemberState(c) != core.MemberDraining || s.rs.Channel(c).Buffered != 0 {
+			s.drainTicks[c] = 0
+		} else if s.drainTicks[c]++; s.drainTicks[c] >= core.MemberAnnounceBatches {
+			s.drainTicks[c] = 0
+			_ = s.rs.RemoveChannel(c)
+			s.rxCond.Broadcast()
+		}
+	}
 }
 
 // Close stops the marker timer and unblocks Send and Recv.
@@ -513,14 +533,15 @@ func (s *Session) SendStats() SenderStats {
 
 // Snapshot returns the attached Collector's metrics (the zero Snapshot
 // when no Collector was configured). It briefly takes the session lock
-// to flush the batched transmit counters first, so the snapshot is
-// exact as of this call.
+// to publish both directions' ledgers first, so the snapshot is exact
+// as of this call.
 func (s *Session) Snapshot() Snapshot {
 	if s.col == nil {
 		return Snapshot{}
 	}
 	s.mu.Lock()
 	s.st.SyncObs()
+	s.rs.SyncObs()
 	s.mu.Unlock()
 	return s.col.Snapshot()
 }
@@ -606,7 +627,7 @@ func (s *Session) removeTxLocked(c int) error {
 		// granted == consumed so the conservation checker sees no leak.
 		returned = s.gate.Retire(c)
 	}
-	s.col.OnMemberDrain(c, s.st.Round(), returned)
+	s.col.Emit(obs.KindMemberDrain, c, s.st.Round(), returned)
 	s.recomputeMaxBufLocked()
 	// Senders parked on the removed channel's credit must re-Select.
 	s.txCond.Broadcast()
@@ -629,12 +650,8 @@ func (s *Session) admitTxLocked(c int, tx ChannelSender) error {
 	}
 	s.evicted[c] = false
 	s.probeOK[c] = 0
-	s.lastMarker[c] = time.Time{} // silence detection restarts at the first marker
-	// Flush the batched byte counters first so the fairness baseline
-	// rebases to an exact byte position.
-	s.st.SyncObs()
-	s.col.RebaseFairness(c, join)
-	s.col.OnMemberJoin(c, join)
+	s.admittedAt[c] = obs.Now() // silence detection restarts at the first marker
+	s.col.Emit(obs.KindMemberJoin, c, join, 0)
 	s.recomputeMaxBufLocked()
 	s.txCond.Broadcast()
 	return nil
@@ -669,7 +686,7 @@ func (s *Session) evictLocked(c int, value int64) {
 	_ = s.rs.RemoveChannel(c)
 	s.evicted[c] = true
 	s.probeOK[c] = 0
-	s.col.OnMemberEvict(c, value)
+	s.col.Emit(obs.KindMemberEvict, c, s.st.Round(), value)
 }
 
 // evictThreshold returns the effective consecutive-error eviction
@@ -798,7 +815,7 @@ func (s *Session) healthTick() {
 	}
 	s.scoreTick()
 	s.peerTick()
-	now := time.Now()
+	now := obs.Now()
 	for c := 0; c < s.n; c++ {
 		switch {
 		case s.st.Member(c) == core.MemberActive:
@@ -809,9 +826,9 @@ func (s *Session) healthTick() {
 				s.evictLocked(c, s.st.ErrStreak(c))
 				continue
 			}
-			if s.health.MarkerSilence > 0 && !s.lastMarker[c].IsZero() {
-				if sil := now.Sub(s.lastMarker[c]); sil > s.health.MarkerSilence {
-					s.evictLocked(c, int64(sil))
+			if at := s.rs.Channel(c).LastMarkerAt; s.health.MarkerSilence > 0 && at > s.admittedAt[c] {
+				if sil := now - at; sil > int64(s.health.MarkerSilence) {
+					s.evictLocked(c, sil)
 				}
 			}
 		case s.evicted[c] && s.reinstateThreshold() > 0:
@@ -821,7 +838,7 @@ func (s *Session) healthTick() {
 			if s.st.ProbeChannel(c) == nil {
 				if s.probeOK[c]++; s.probeOK[c] >= s.reinstateThreshold() {
 					if s.admitTxLocked(c, nil) == nil {
-						s.col.OnMemberReinstate(c)
+						s.col.Emit(obs.KindMemberReinstate, c, s.st.Round(), 0)
 					}
 				}
 			} else {

@@ -137,7 +137,7 @@ func remaining(s *Session, nch int) []int64 {
 func lost(s *Session) int64 {
 	var t int64
 	for _, ch := range s.Snapshot().Channels {
-		t += ch.LostReconciled
+		t += ch.Rx.LostBytes
 	}
 	return t
 }
@@ -175,7 +175,7 @@ func TestSessionIdleMarkersBounded(t *testing.T) {
 		snap = b.Snapshot()
 		var consumed int64
 		for _, ch := range snap.Channels {
-			consumed += ch.MarkersConsumed
+			consumed += ch.Rx.Markers
 		}
 		if consumed >= int64(batches*nch) {
 			break
@@ -191,7 +191,7 @@ func TestSessionIdleMarkersBounded(t *testing.T) {
 	}
 	var drained int64
 	for _, ch := range snap.Channels {
-		drained += ch.MarkersDrained
+		drained += ch.Rx.EagerMarkers
 	}
 	if drained == 0 {
 		t.Fatal("no markers were drained eagerly")

@@ -141,8 +141,8 @@ type Config struct {
 	// DefaultMaxBuffered in sessions with flow control enabled (and
 	// unbounded elsewhere); negative means explicitly unbounded.
 	MaxBuffered int
-	// Collector, when non-nil, receives runtime metrics and protocol
-	// events from every engine built with this Config. Size it with
+	// Collector, when non-nil, is published the ledgers of every engine
+	// built with this Config and sent their protocol events. Size it with
 	// NewCollector(len(Quanta)). Expose it with Serve or read it with
 	// Snapshot. A nil Collector costs one pointer test per packet.
 	Collector *Collector
@@ -290,8 +290,8 @@ func (s *Sender) Stats() SenderStats {
 
 // Snapshot returns the attached Collector's metrics (the zero Snapshot
 // when no Collector was configured). It briefly takes the sender lock
-// to flush the batched transmit counters first, so the snapshot is
-// exact as of this call.
+// to publish the send ledger first, so the snapshot is exact as of this
+// call.
 func (s *Sender) Snapshot() Snapshot {
 	if s.col == nil {
 		return Snapshot{}
@@ -434,5 +434,15 @@ func (r *Receiver) Stats() ReceiverStats {
 }
 
 // Snapshot returns the attached Collector's metrics (the zero Snapshot
-// when no Collector was configured).
-func (r *Receiver) Snapshot() Snapshot { return r.col.Snapshot() }
+// when no Collector was configured). It briefly takes the receiver lock
+// to publish the receive ledger first, so the snapshot is exact as of
+// this call.
+func (r *Receiver) Snapshot() Snapshot {
+	if r.col == nil {
+		return Snapshot{}
+	}
+	r.mu.Lock()
+	r.rs.SyncObs()
+	r.mu.Unlock()
+	return r.col.Snapshot()
+}
