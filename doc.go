@@ -32,9 +32,10 @@
 //
 // SendBatch/RecvBatch move packets in bulk: the session lock is taken
 // once per batch, the scheduler is consulted once per service run, and
-// TCP channels flush once per batch. The single-packet Send and Recv
-// are batches of one, so the two styles mix freely. The pool makes the
-// steady state allocation-free; its lifetime rules:
+// each TCP channel the batch touched is written once, as the call
+// returns (nothing stays buffered behind it). The single-packet Send
+// and Recv are batches of one, so the two styles mix freely. The pool
+// makes the steady state allocation-free; its lifetime rules:
 //
 //   - GetPacket/GetPacketSized hand you exclusive ownership of a pooled
 //     packet and its payload backing array. Fill it, send it; after a

@@ -38,10 +38,11 @@ type Sender interface {
 
 // BatchSender is optionally implemented by channels that can accept a
 // vector of packets in one call, amortizing per-send overhead (one
-// buffered flush or syscall per batch where the transport allows — the
-// writev of the channel world). Senders that do not implement it are
-// driven packet-at-a-time by the batched striper, so implementing
-// BatchSender is purely an optimization, never a requirement.
+// encode loop, and for a direct caller one flush, per call). Senders
+// that do not implement it are driven packet-at-a-time by the batched
+// striper, so implementing BatchSender is purely an optimization, never
+// a requirement. When SendBatch returns, the accepted packets have been
+// handed to the transport: nothing waits in a user-space buffer.
 type BatchSender interface {
 	Sender
 	// SendBatch enqueues pkts in FIFO order and returns the number of
@@ -52,6 +53,28 @@ type BatchSender interface {
 	// accepted: an accepted-but-dropped tail is indistinguishable from
 	// wire loss, which the striping protocol already recovers from.
 	SendBatch(pkts []*packet.Packet) (int, error)
+}
+
+// BufferedSender is optionally implemented by a BatchSender that writes
+// through a user-space buffer and can leave the moment of the write
+// syscall to its caller. It splits SendBatch in two — SendBatch is
+// exactly Buffer then Flush — so a caller sending several vectors in a
+// row (the striper: one per service run, plus markers) decides how many
+// of them share one write. How much goes to a channel before the next
+// one is served is the scheduler's logical decision; when the bytes
+// cross into the kernel is a physical one, and this is the seam that
+// keeps them apart. The caller owes a Flush before it returns to code
+// that may wait on the peer: a buffered packet is not on the wire.
+type BufferedSender interface {
+	BatchSender
+	// Buffer enqueues pkts in FIFO order behind everything already
+	// buffered, with SendBatch's contract for n and err, but may leave
+	// the records in the channel's write buffer.
+	Buffer(pkts []*packet.Packet) (int, error)
+	// Flush hands every buffered record to the transport. After a
+	// failure the delivery of the records buffered since the previous
+	// Flush is uncertain; they stay counted as accepted (see SendBatch).
+	Flush() error
 }
 
 // Receiver is the receive side of a FIFO channel.

@@ -1,0 +1,456 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"net"
+	"testing"
+
+	"stripe/internal/channel"
+	"stripe/internal/flowcontrol"
+	"stripe/internal/netchan"
+	"stripe/internal/packet"
+	"stripe/internal/sched"
+)
+
+// bufChan is a counting fake channel.BufferedSender: what Buffer
+// accepts waits in held until Flush moves it to wire, and every call
+// that would be a write syscall on a real transport is counted.
+type bufChan struct {
+	held, wire []*packet.Packet
+	flushes    int   // Flush calls
+	writes     int   // Flush calls that had something to write
+	refuseAt   int   // when > 0, Buffer refuses everything once wire+held reaches it
+	flushErr   error // when set, Flush fails (and drops what it held: the uncertain tail)
+}
+
+var errLinkDown = errors.New("link down")
+
+func (b *bufChan) Buffer(pkts []*packet.Packet) (int, error) {
+	for i, p := range pkts {
+		if p == nil {
+			panic("nil packet handed to a channel")
+		}
+		if b.refuseAt > 0 && len(b.wire)+len(b.held) >= b.refuseAt {
+			return i, errLinkDown
+		}
+		b.held = append(b.held, p)
+	}
+	return len(pkts), nil
+}
+
+func (b *bufChan) Flush() error {
+	b.flushes++
+	if len(b.held) == 0 {
+		return nil
+	}
+	b.writes++
+	if b.flushErr != nil {
+		b.held = b.held[:0]
+		return b.flushErr
+	}
+	b.wire = append(b.wire, b.held...)
+	b.held = b.held[:0]
+	return nil
+}
+
+func (b *bufChan) SendBatch(pkts []*packet.Packet) (int, error) {
+	n, err := b.Buffer(pkts)
+	if ferr := b.Flush(); ferr != nil {
+		return n, ferr
+	}
+	return n, err
+}
+
+func (b *bufChan) Send(p *packet.Packet) error {
+	_, err := b.SendBatch([]*packet.Packet{p})
+	return err
+}
+
+// unbuffered hides bufChan's Buffer/Flush, leaving the BatchSender the
+// striper drove before it knew the capability: the reference path.
+type unbuffered struct{ b *bufChan }
+
+func (u unbuffered) Send(p *packet.Packet) error                  { return u.b.Send(p) }
+func (u unbuffered) SendBatch(pkts []*packet.Packet) (int, error) { return u.b.SendBatch(pkts) }
+
+func bufChans(n int) ([]*bufChan, []channel.Sender) {
+	chans := make([]*bufChan, n)
+	senders := make([]channel.Sender, n)
+	for c := range chans {
+		chans[c] = &bufChan{}
+		senders[c] = chans[c]
+	}
+	return chans, senders
+}
+
+func dataBatch(n int) []*packet.Packet {
+	pkts := make([]*packet.Packet, n)
+	for i := range pkts {
+		pkts[i] = packet.NewData(make([]byte, 200+(i*397)%1200))
+	}
+	return pkts
+}
+
+func requireNothingHeld(t *testing.T, when string, chans []*bufChan) {
+	t.Helper()
+	for c, b := range chans {
+		if len(b.held) != 0 {
+			t.Errorf("%s: channel %d still holds %d buffered packets", when, c, len(b.held))
+		}
+	}
+}
+
+// TestFlushOncePerDirtyChannel: a 64-packet batch over four channels
+// with a marker batch due every round is dozens of service runs and
+// marker sends, and each channel is flushed once. A channel the call
+// never wrote to is not flushed at all.
+func TestFlushOncePerDirtyChannel(t *testing.T) {
+	const nch = 4
+	chans, senders := bufChans(nch)
+	st := mustStriper(t, StriperConfig{
+		Sched:    sched.MustSRR(sched.UniformQuanta(nch, 1500)),
+		Channels: senders,
+		Markers:  MarkerPolicy{Every: 1},
+	})
+	if n, err := st.SendBatch(dataBatch(64)); n != 64 || err != nil {
+		t.Fatalf("SendBatch = (%d, %v)", n, err)
+	}
+	s := st.Stats()
+	if s.Markers < 8*nch {
+		t.Fatalf("only %d markers cut; the batch was meant to span many marker batches", s.Markers)
+	}
+	for c, b := range chans {
+		if b.flushes != 1 || b.writes != 1 {
+			t.Errorf("channel %d: %d flushes (%d with data) for one batch, want 1", c, b.flushes, b.writes)
+		}
+	}
+	requireNothingHeld(t, "after SendBatch", chans)
+
+	// One packet, no markers due: one channel written, one flushed.
+	chans, senders = bufChans(nch)
+	st = mustStriper(t, StriperConfig{Sched: sched.MustSRR(sched.UniformQuanta(nch, 1500)), Channels: senders})
+	if err := st.Send(packet.NewData(make([]byte, 100))); err != nil {
+		t.Fatal(err)
+	}
+	for c, b := range chans {
+		if want := map[bool]int{true: 1, false: 0}[c == 0]; b.flushes != want {
+			t.Errorf("batch of one: channel %d flushed %d times, want %d", c, b.flushes, want)
+		}
+	}
+}
+
+// TestNothingBufferedOnAnyReturn walks every exported Striper method
+// that can write, and every way SendBatch can end, and requires the
+// channel buffers empty each time the striper returns: a caller that
+// goes on to wait for the peer must wait with everything on the wire.
+func TestNothingBufferedOnAnyReturn(t *testing.T) {
+	const nch = 4
+	newStriper := func(gate Gate) (*Striper, []*bufChan) {
+		chans, senders := bufChans(nch)
+		return mustStriper(t, StriperConfig{
+			Sched:    sched.MustSRR(sched.UniformQuanta(nch, 1500)),
+			Channels: senders,
+			Markers:  MarkerPolicy{Every: 1},
+			Gate:     gate,
+		}), chans
+	}
+
+	t.Run("nil", func(t *testing.T) {
+		st, chans := newStriper(nil)
+		if n, err := st.SendBatch(dataBatch(64)); n != 64 || err != nil {
+			t.Fatalf("SendBatch = (%d, %v)", n, err)
+		}
+		requireNothingHeld(t, "SendBatch", chans)
+	})
+	t.Run("ErrGated", func(t *testing.T) {
+		gate, err := flowcontrol.NewGate(nch, 4000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, chans := newStriper(gate)
+		n, err := st.SendBatch(dataBatch(64))
+		if err != ErrGated || n == 0 || n == 64 {
+			t.Fatalf("SendBatch = (%d, %v), want a gated partial batch", n, err)
+		}
+		requireNothingHeld(t, "gated SendBatch", chans)
+		sent := 0
+		for _, b := range chans {
+			for _, p := range b.wire {
+				if p.Kind == packet.Data {
+					sent++
+				}
+			}
+		}
+		if sent != n {
+			t.Fatalf("%d data packets on the wire, SendBatch reported %d", sent, n)
+		}
+	})
+	t.Run("ChannelSendError", func(t *testing.T) {
+		st, chans := newStriper(nil)
+		chans[2].refuseAt = 3
+		n, err := st.SendBatch(dataBatch(64))
+		var cse *ChannelSendError
+		if !errors.As(err, &cse) || cse.Channel != 2 || !errors.Is(err, errLinkDown) || n == 64 {
+			t.Fatalf("SendBatch = (%d, %v), want a *ChannelSendError on channel 2", n, err)
+		}
+		requireNothingHeld(t, "failed SendBatch", chans)
+	})
+	t.Run("ErrNoActiveChannels", func(t *testing.T) {
+		st, chans := newStriper(nil)
+		// Unreachable through RemoveChannel (it keeps the last channel);
+		// forced, because the return path exists.
+		for c := range st.active {
+			st.active[c] = false
+		}
+		st.activeN = 0
+		if n, err := st.SendBatch(dataBatch(4)); n != 0 || err != ErrNoActiveChannels {
+			t.Fatalf("SendBatch = (%d, %v)", n, err)
+		}
+		requireNothingHeld(t, "SendBatch on an empty live set", chans)
+	})
+
+	st, chans := newStriper(nil)
+	for _, step := range []struct {
+		name string
+		call func() error
+	}{
+		{"EmitMarkers", func() error { st.EmitMarkers(); return nil }},
+		{"SendTelemetry", func() error {
+			return st.SendTelemetry(packet.TelemetryBlock{Seq: 1, Channels: make([]packet.TelemetryChannel, nch)})
+		}},
+		{"RemoveChannel", func() error { return st.RemoveChannel(1) }},
+		{"ProbeChannel", func() error { return st.ProbeChannel(1) }},
+		{"AddChannel", func() error { _, err := st.AddChannel(1, nil); return err }},
+		{"Reset", st.Reset},
+	} {
+		before := 0
+		for _, b := range chans {
+			before += len(b.wire)
+		}
+		if err := step.call(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		after := 0
+		for _, b := range chans {
+			after += len(b.wire)
+		}
+		if after == before {
+			t.Errorf("%s wrote nothing; the step proves nothing", step.name)
+		}
+		requireNothingHeld(t, step.name, chans)
+	}
+	// The removal's delimiter went down the departing channel itself.
+	foundDelimiter := false
+	for _, p := range chans[1].wire {
+		if m, err := packet.MemberOf(p); err == nil && m.Op == packet.MemberLeave && m.Target == 1 {
+			foundDelimiter = true
+		}
+	}
+	if !foundDelimiter {
+		t.Error("RemoveChannel(1) returned without its delimiter on channel 1's wire")
+	}
+}
+
+// TestBufferedWireOrderMatchesUnbuffered: buffering moves syscalls, not
+// packets — per channel, the sequence of data, markers, announcements
+// and delimiters is the one the run-by-run path puts on the wire.
+func TestBufferedWireOrderMatchesUnbuffered(t *testing.T) {
+	const nch = 4
+	drive := func(hide bool) []string {
+		chans, senders := bufChans(nch)
+		if hide {
+			for c := range senders {
+				senders[c] = unbuffered{chans[c]}
+			}
+		}
+		st := mustStriper(t, StriperConfig{
+			Sched:    sched.MustSRR([]int64{1500, 1000, 3000, 1500}),
+			Channels: senders,
+			Markers:  MarkerPolicy{Every: 2, Position: 1},
+			AddSeq:   true,
+			Now:      func() int64 { return 42 },
+		})
+		send := func(n int) {
+			if m, err := st.SendBatch(dataBatch(n)); m != n || err != nil {
+				t.Fatalf("SendBatch = (%d, %v)", m, err)
+			}
+		}
+		send(64)
+		if err := st.RemoveChannel(2); err != nil {
+			t.Fatal(err)
+		}
+		send(37)
+		if err := st.Send(packet.NewData(make([]byte, 900))); err != nil {
+			t.Fatal(err)
+		}
+		st.EmitMarkers()
+		if _, err := st.AddChannel(2, nil); err != nil {
+			t.Fatal(err)
+		}
+		send(64)
+		if err := st.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		send(5)
+		wires := make([]string, nch)
+		for c, b := range chans {
+			requireNothingHeld(t, "end of script", chans)
+			for _, p := range b.wire {
+				wires[c] += fmt.Sprintf("%v/%d/%x ", p.Kind, p.Seq, p.Payload[:min(len(p.Payload), 48)])
+			}
+		}
+		return wires
+	}
+	got, want := drive(false), drive(true)
+	for c := range want {
+		if got[c] != want[c] {
+			t.Errorf("channel %d wire differs between the buffered and the run-by-run path", c)
+		}
+		if len(want[c]) == 0 {
+			t.Errorf("channel %d carried nothing", c)
+		}
+	}
+}
+
+// TestSendOverBufferedSenderWithMarkersEveryRound is the scratch-slot
+// regression: Send parks its packet in a one-slot batch and the run it
+// starts may cut markers; were a marker buffered through the same slot,
+// the data packet would be gone before the channel saw it.
+func TestSendOverBufferedSenderWithMarkersEveryRound(t *testing.T) {
+	const nch, total = 4, 500
+	chans, senders := bufChans(nch)
+	st := mustStriper(t, StriperConfig{
+		Sched:    sched.MustSRR(sched.UniformQuanta(nch, 1500)),
+		Channels: senders,
+		Markers:  MarkerPolicy{Every: 1},
+	})
+	for i := 0; i < total; i++ {
+		if err := st.Send(packet.NewData(make([]byte, 700+i%800))); err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+		requireNothingHeld(t, "after Send", chans)
+	}
+	seen := make(map[uint64]bool)
+	markers := 0
+	for _, b := range chans {
+		for _, p := range b.wire {
+			if p.Kind == packet.Data {
+				seen[p.ID] = true
+			} else {
+				markers++
+			}
+		}
+	}
+	if len(seen) != total || markers == 0 {
+		t.Fatalf("%d of %d data packets reached a channel (%d markers)", len(seen), total, markers)
+	}
+}
+
+// TestFlushFailureIsChannelSendError: a transport failure that first
+// shows in the closing flush is reported like any other — the channel,
+// the cause, the streak — with the packets it leaves in doubt committed
+// and counted in n, the accepted-but-uncertain tail.
+func TestFlushFailureIsChannelSendError(t *testing.T) {
+	const nch = 4
+	chans, senders := bufChans(nch)
+	st := mustStriper(t, StriperConfig{
+		Sched:    sched.MustSRR(sched.UniformQuanta(nch, 1500)),
+		Channels: senders,
+	})
+	chans[2].flushErr = errLinkDown
+	n, err := st.SendBatch(dataBatch(64))
+	var cse *ChannelSendError
+	if n != 64 || !errors.As(err, &cse) || cse.Channel != 2 || !errors.Is(err, errLinkDown) {
+		t.Fatalf("SendBatch = (%d, %v), want (64, *ChannelSendError on channel 2)", n, err)
+	}
+	if got := st.ErrStreak(2); got != 1 {
+		t.Fatalf("ErrStreak(2) = %d, want 1", got)
+	}
+	if s := st.Stats(); s.DataPackets != 64 {
+		t.Fatalf("%d packets committed, want all 64 (the tail is uncertain, not refused)", s.DataPackets)
+	}
+	for c, b := range chans {
+		if c != 2 && (b.writes != 1 || len(b.wire) == 0) {
+			t.Errorf("channel %d: %d writes, %d packets on the wire; one bad flush must not stop the others", c, b.writes, len(b.wire))
+		}
+	}
+	requireNothingHeld(t, "failed flush", chans)
+
+	// The control entry points report it too, where they report at all.
+	if err := st.ProbeChannel(2); !errors.Is(err, errLinkDown) {
+		t.Fatalf("ProbeChannel over a failing flush = %v", err)
+	}
+	if got := st.ErrStreak(2); got != 2 {
+		t.Fatalf("ErrStreak(2) after the probe = %d, want 2", got)
+	}
+	if err := st.Reset(); !errors.Is(err, errLinkDown) {
+		t.Fatalf("Reset over a failing flush = %v", err)
+	}
+	// Buffering proves nothing about the link, so only a flush that
+	// succeeds ends the streak.
+	if got := st.ErrStreak(2); got != 3 {
+		t.Fatalf("ErrStreak(2) after three failed flushes = %d, want 3", got)
+	}
+	chans[2].flushErr = nil
+	st.EmitMarkers()
+	if got := st.ErrStreak(2); got != 0 {
+		t.Fatalf("ErrStreak(2) after a good flush = %d, want 0", got)
+	}
+}
+
+// countingConn is a net.Conn that counts Write calls and discards the
+// bytes: each call is one write syscall on a real socket.
+type countingConn struct {
+	net.Conn
+	writes int
+}
+
+func (c *countingConn) Write(b []byte) (int, error) { c.writes++; return len(b), nil }
+
+// TestFlushWritesPerBatchOverTCP counts at the syscall boundary itself:
+// a real striper over real TCPChannels, 64 packets of 200-1400 B over
+// four channels at quantum 1500, markers on the session's default
+// cadence (every four rounds) and on every round. Run by run — the path
+// a wrapper that forwards only SendBatch still takes — that is a write
+// per service run and per marker; buffered it is a write per channel.
+// (The numbers EXPERIMENTS.md quotes.)
+func TestFlushWritesPerBatchOverTCP(t *testing.T) {
+	const nch = 4
+	count := func(every uint64, hide bool) int {
+		conns := make([]*countingConn, nch)
+		senders := make([]channel.Sender, nch)
+		for c := range conns {
+			conns[c] = &countingConn{}
+			tcp := netchan.NewTCPChannel(conns[c])
+			senders[c] = tcp
+			if hide {
+				senders[c] = struct{ channel.BatchSender }{tcp}
+			}
+		}
+		st := mustStriper(t, StriperConfig{
+			Sched:    sched.MustSRR(sched.UniformQuanta(nch, 1500)),
+			Channels: senders,
+			Markers:  MarkerPolicy{Every: every},
+		})
+		if n, err := st.SendBatch(dataBatch(64)); n != 64 || err != nil {
+			t.Fatalf("SendBatch = (%d, %v)", n, err)
+		}
+		writes := 0
+		for _, c := range conns {
+			writes += c.writes
+		}
+		return writes
+	}
+	for _, every := range []uint64{4, 1} {
+		buffered, runByRun := count(every, false), count(every, true)
+		t.Logf("markers every %d rounds: conn.Write calls per 64-packet batch on %d TCP channels: %d buffered, %d run by run",
+			every, nch, buffered, runByRun)
+		if buffered != nch {
+			t.Errorf("markers every %d: buffered: %d writes, want one per channel (%d)", every, buffered, nch)
+		}
+		if runByRun < 8*nch {
+			t.Errorf("markers every %d: run by run: %d writes; the reference path should pay one per run", every, runByRun)
+		}
+	}
+}

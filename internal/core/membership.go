@@ -135,9 +135,10 @@ func (st *Striper) Member(c int) MemberState {
 }
 
 // ErrStreak returns the number of consecutive transport errors observed
-// on channel c (data, marker, or announcement sends), reset to zero by
-// any successful send. The session health monitor evicts on a
-// configurable streak.
+// on channel c (data or control sends, and the flushes that carry them
+// on a buffering channel), reset to zero by any successful send — on a
+// buffering channel, by a successful flush. The session health monitor
+// evicts on a configurable streak.
 func (st *Striper) ErrStreak(c int) int64 {
 	if c < 0 || c >= len(st.out) {
 		return 0
@@ -191,10 +192,14 @@ func (st *Striper) RemoveChannel(c int) error {
 	// Best-effort delimiter on the departing channel; it may already be
 	// dead, which is fine — the survivors' announcements carry the same
 	// (sequenced, full-bitmap) truth.
-	_ = st.out[c].Send(packet.NewMember(st.lastAnnounce))
-	st.errStreak[c] = 0
+	_ = st.sendControl(c, packet.NewMember(st.lastAnnounce))
 	st.announceLeft = MemberAnnounceBatches
 	st.broadcastMember()
+	// The final marker batch, the delimiter and the announcements must be
+	// on the wire when the removal returns; a failure is on the survivors'
+	// streaks, and the departed slot's is void.
+	_ = st.flushDirty()
+	st.errStreak[c] = 0
 	// Rounds only advance by serving enabled slots, so a removal must not
 	// leave the scheduler empty while joins still wait on their round
 	// boundary — they would never take effect. Flush them; the receiver's
@@ -231,8 +236,7 @@ func (st *Striper) AddChannel(c int, tx channel.Sender) (uint64, error) {
 		return 0, err
 	}
 	if tx != nil {
-		st.out[c] = tx
-		st.batchOut[c], _ = tx.(channel.BatchSender)
+		st.bind(c, tx)
 	}
 	if st.active[c] {
 		if j := st.pendingJoin[c]; j != 0 {
@@ -259,6 +263,8 @@ func (st *Striper) AddChannel(c int, tx channel.Sender) (uint64, error) {
 	// receiver and reconcile credits without waiting out the marker
 	// period. (The newcomer gets markers once its join round arrives.)
 	st.emitBatch()
+	// A failed flush is on the slot's error streak, as a failed send is.
+	_ = st.flushDirty()
 	st.SyncObs()
 	return join, nil
 }
@@ -307,13 +313,7 @@ func (st *Striper) ProbeChannel(c int) error {
 	if st.active[c] {
 		st.lastAnnounce = mb
 	}
-	err := st.out[c].Send(packet.NewMember(mb))
-	if err != nil {
-		st.errStreak[c]++
-	} else {
-		st.errStreak[c] = 0
-	}
-	return err
+	return st.flushAfter(st.sendControl(c, packet.NewMember(mb)))
 }
 
 // memberBlock assembles an announcement of the current live set.
@@ -342,11 +342,9 @@ func (st *Striper) broadcastMember() {
 		if !st.active[c] {
 			continue
 		}
-		if err := st.out[c].Send(packet.NewMember(st.lastAnnounce)); err != nil {
-			st.errStreak[c]++
-		} else {
-			st.errStreak[c] = 0
-		}
+		// A lost announcement is on the slot's error streak; the next
+		// batch repeats it.
+		_ = st.sendControl(c, packet.NewMember(st.lastAnnounce))
 	}
 }
 

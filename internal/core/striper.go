@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"stripe/internal/channel"
 	"stripe/internal/obs"
@@ -115,11 +116,14 @@ type Striper struct {
 	csInit        sched.State      // cs start state, for resets
 	mem           sched.Membership // non-nil when the scheduler supports dynamic membership
 	out           []channel.Sender
-	batchOut      []channel.BatchSender // batch-capable views of out (nil where unsupported)
-	coster        costModel             // scheduler cost model for run prediction (nil disables)
-	bulkAcct      bulkAccounter         // scheduler bulk accounting for committed runs (nil disables)
-	creditRem     creditReader          // gate credit view for run prediction (nil disables)
-	one           [1]*packet.Packet     // Send's batch of one, alias-free between calls
+	batchOut      []channel.BatchSender    // batch-capable views of out (nil where unsupported)
+	bufOut        []channel.BufferedSender // buffering views of out (nil where unsupported, and past slot 63)
+	dirty         uint64                   // slots of bufOut buffered into since their last Flush (see flushDirty)
+	coster        costModel                // scheduler cost model for run prediction (nil disables)
+	bulkAcct      bulkAccounter            // scheduler bulk accounting for committed runs (nil disables)
+	creditRem     creditReader             // gate credit view for run prediction (nil disables)
+	one           [1]*packet.Packet        // Send's batch of one, alias-free between calls
+	ctl           [1]*packet.Packet        // sendControl's batch of one; not one, which Send holds across the markers its run cuts
 	policy        MarkerPolicy
 	addSeq        bool
 	gate          Gate
@@ -205,8 +209,9 @@ func NewStriper(cfg StriperConfig) (*Striper, error) {
 	}
 	st.led.PerChannel = make([]ChannelLoad, len(st.out))
 	st.batchOut = make([]channel.BatchSender, len(st.out))
+	st.bufOut = make([]channel.BufferedSender, len(st.out))
 	for c, ch := range st.out {
-		st.batchOut[c], _ = ch.(channel.BatchSender)
+		st.bind(c, ch)
 	}
 	st.coster, _ = s.(costModel)
 	st.bulkAcct, _ = s.(bulkAccounter)
@@ -234,6 +239,79 @@ func NewStriper(cfg StriperConfig) (*Striper, error) {
 
 // N returns the number of channels.
 func (st *Striper) N() int { return len(st.out) }
+
+// bind installs tx as slot c's transport and records which optional
+// capabilities it offers. The dirty mask is one word, so slots past 63
+// are driven unbuffered.
+func (st *Striper) bind(c int, tx channel.Sender) {
+	st.out[c] = tx
+	st.batchOut[c], _ = tx.(channel.BatchSender)
+	st.bufOut[c] = nil
+	if c < 64 {
+		st.bufOut[c], _ = tx.(channel.BufferedSender)
+	}
+}
+
+// sendControl transmits one control packet (marker, announcement,
+// telemetry, reset) on slot c and keeps the slot's error streak. On a
+// buffering channel the packet only joins whatever the slot already
+// holds — the data of the run before it, the other control packets of
+// its batch — and goes out with the entry point's flushDirty, which is
+// also where its success is known; elsewhere it is a plain Send.
+func (st *Striper) sendControl(c int, p *packet.Packet) error {
+	var err error
+	if bs := st.bufOut[c]; bs != nil {
+		var n int
+		st.ctl[0] = p
+		n, err = bs.Buffer(st.ctl[:1])
+		st.ctl[0] = nil
+		if n > 0 {
+			st.dirty |= 1 << uint(c)
+		}
+	} else if err = st.out[c].Send(p); err == nil {
+		st.errStreak[c] = 0
+	}
+	if err != nil {
+		st.errStreak[c]++
+	}
+	return err
+}
+
+// flushDirty is the striper's flush discipline: every exported method
+// that can write to a channel calls it on every return path that may
+// follow a write, so no byte lingers in a channel buffer when the
+// striper returns. That invariant is what lets sendRun and sendControl
+// merely buffer: a caller that goes on to wait for the peer (credits
+// after ErrGated, a reply to a batch of one) waits with everything on
+// the wire, exactly as when every run flushed itself — while a batch
+// spread over k channels costs k writes however many service runs and
+// markers it held. A failed Flush leaves the records buffered on that
+// slot since its last flush accepted-but-uncertain, the tail
+// channel.BatchSender documents; they stay committed, the slot's error
+// streak grows (a flush that succeeds is what clears it), and the first
+// failure is returned.
+func (st *Striper) flushDirty() error {
+	var first error
+	for d := st.dirty; d != 0; d &= d - 1 {
+		c := bits.TrailingZeros64(d)
+		if err := st.bufOut[c].Flush(); err == nil {
+			st.errStreak[c] = 0
+		} else if werr := st.sendFailed(c, err); first == nil {
+			first = werr
+		}
+	}
+	st.dirty = 0
+	return first
+}
+
+// flushAfter is flushDirty for entry points that report one transport
+// verdict: err when the send itself failed, else the flush's.
+func (st *Striper) flushAfter(err error) error {
+	if ferr := st.flushDirty(); err == nil {
+		err = ferr
+	}
+	return err
+}
 
 // Round returns the sender's global round number G (zero for
 // round-less causal schedulers).
@@ -287,6 +365,8 @@ func (st *Striper) EmitMarkers() {
 		return
 	}
 	st.emitBatch()
+	// A failed flush is on the slot's error streak, as a failed marker is.
+	_ = st.flushDirty()
 	st.SyncObs()
 	if st.policy.Every != 0 {
 		st.nextMark = st.rb.Round() + st.policy.Every
@@ -337,11 +417,8 @@ func (st *Striper) emitBatch() {
 			mb.Credits = st.markerCredits(c)
 		}
 		mb.TxNs = txNs
-		if err := st.out[c].Send(packet.NewMarker(mb)); err == nil {
+		if st.sendControl(c, packet.NewMarker(mb)) == nil {
 			st.led.PerChannel[c].Markers++
-			st.errStreak[c] = 0
-		} else {
-			st.errStreak[c]++
 		}
 	}
 	// Membership announcements ride the marker cadence for a few batches
@@ -397,37 +474,46 @@ func (st *Striper) Send(p *packet.Packet) error {
 // selection, credit-gate checks, and channel writes across the batch:
 // maximal runs of consecutive packets bound for the same channel are
 // predicted against the scheduler's cost model and handed to the
-// channel in one BatchSender call (one buffered flush per run on TCP
-// channels). It returns the number of packets transmitted; n <
-// len(pkts) only alongside a non-nil error — ErrGated when flow
-// control vetoed pkts[n] (retry pkts[n:] once credits arrive), or a
-// *ChannelSendError when a transport failed. Exactly as with Send, a
-// packet the transport did not accept is neither accounted to the
-// scheduler nor charged to the gate, so the retry targets the same
-// channel until the health monitor evicts it.
+// channel in one call. Where a run ends is the scheduler's decision and
+// costs no syscall: on channels that buffer (channel.BufferedSender —
+// TCP) the runs, and the markers cut between them, only accumulate, and
+// each channel written to is flushed once, on the way out (flushDirty);
+// other channels are written run by run. It returns the number of
+// packets transmitted; n < len(pkts) only alongside a non-nil error —
+// ErrGated when flow control vetoed pkts[n] (retry pkts[n:] once
+// credits arrive), or a *ChannelSendError when a transport failed.
+// Exactly as with Send, a packet the transport did not accept is
+// neither accounted to the scheduler nor charged to the gate, so the
+// retry targets the same channel until the health monitor evicts it. A
+// transport failure that first shows in the closing flush arrives as a
+// *ChannelSendError too, with the packets it leaves in doubt already
+// counted in n (possibly n == len(pkts)); it displaces ErrGated, which
+// the retry reports again.
 //
 //stripe:hotpath
 func (st *Striper) SendBatch(pkts []*packet.Packet) (int, error) {
 	done := 0
-	for done < len(pkts) {
-		n, err := st.sendRun(pkts[done:])
+	var err error
+	for done < len(pkts) && err == nil {
+		var n int
+		n, err = st.sendRun(pkts[done:])
 		done += n
-		if err != nil {
-			return done, err
-		}
 	}
-	return done, nil
+	if ferr := st.flushDirty(); ferr != nil && (err == nil || err == ErrGated) {
+		err = ferr
+	}
+	return done, err
 }
 
 // sendRun transmits a maximal single-channel prefix of pkts: the
 // packets the scheduler provably assigns to the channel it selects for
 // pkts[0] before that channel's service ends, bounded by the remaining
-// flow-control credit. Packets are stamped before the flush (the wire
-// format carries Seq), but all commitment — scheduler accounting, gate
-// consumption, counters, traces — happens per packet only after the
-// transport accepts it, so a transport failure leaves the automaton
-// exactly as a failed Send always has: un-advanced, the failed packets
-// re-stamped by their retry.
+// flow-control credit. Packets are stamped before the channel encodes
+// them (the wire format carries Seq), but all commitment — scheduler
+// accounting, gate consumption, counters, traces — happens per packet
+// only after the transport accepts it, so a transport failure leaves
+// the automaton exactly as a failed Send always has: un-advanced, the
+// failed packets re-stamped by their retry.
 //
 //stripe:hotpath
 func (st *Striper) sendRun(pkts []*packet.Packet) (int, error) {
@@ -488,7 +574,7 @@ func (st *Striper) sendRun(pkts []*packet.Packet) (int, error) {
 		}
 	}
 
-	// Stamp before the flush: Seq rides the wire, so it must be final
+	// Stamp before the hand-off: Seq rides the wire, so it must be final
 	// when the channel encodes the frame. The counters advance only at
 	// commit, so a failed tail is freshly re-stamped by its retry.
 	for i := 0; i < m; i++ {
@@ -501,12 +587,23 @@ func (st *Striper) sendRun(pkts []*packet.Packet) (int, error) {
 		}
 	}
 
+	// A buffering channel only accumulates the run: SendBatch's
+	// flushDirty writes it out, and learns whether the link took it.
 	var sent int
 	var err error
-	if bs := st.batchOut[c]; bs != nil {
-		sent, err = bs.SendBatch(pkts[:m])
-	} else if err = st.out[c].Send(pkts[0]); err == nil {
-		sent = 1
+	if bs := st.bufOut[c]; bs != nil {
+		if sent, err = bs.Buffer(pkts[:m]); sent > 0 {
+			st.dirty |= 1 << uint(c)
+		}
+	} else {
+		if bs := st.batchOut[c]; bs != nil {
+			sent, err = bs.SendBatch(pkts[:m])
+		} else if err = st.out[c].Send(pkts[0]); err == nil {
+			sent = 1
+		}
+		if sent > 0 {
+			st.errStreak[c] = 0
+		}
 	}
 
 	// Commit exactly the accepted prefix. Everything additive — counters,
@@ -526,7 +623,6 @@ func (st *Striper) sendRun(pkts []*packet.Packet) (int, error) {
 				st.led.MaxPacket = n
 			}
 		}
-		st.errStreak[c] = 0
 		st.nextID += uint64(sent)
 		st.clock += int64(sent)
 		if st.addSeq {
@@ -580,10 +676,11 @@ func (st *Striper) Reset() error {
 			continue
 		}
 		p := &packet.Packet{Kind: packet.Reset, Payload: pl}
-		if err := st.out[c].Send(p); err != nil && firstErr == nil {
+		if err := st.sendControl(c, p); firstErr == nil {
 			firstErr = err
 		}
 	}
+	firstErr = st.flushAfter(firstErr)
 	if st.pendingJoins != 0 {
 		// A reset returns both automatons to the common start state, which
 		// subsumes any join still waiting on its round boundary: the slot

@@ -112,13 +112,7 @@ func (st *Striper) SendTelemetry(t packet.TelemetryBlock) error {
 		if !st.active[c] {
 			continue
 		}
-		err := st.out[c].Send(packet.NewTelemetry(t))
-		if err != nil {
-			st.errStreak[c]++
-		} else {
-			st.errStreak[c] = 0
-		}
-		return err
+		return st.flushAfter(st.sendControl(c, packet.NewTelemetry(t)))
 	}
 	return ErrNoActiveChannels
 }

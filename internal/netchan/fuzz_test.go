@@ -2,6 +2,7 @@ package netchan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"stripe/internal/packet"
@@ -24,6 +25,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	// bug (bound left at Marker when Credit landed) lived exactly here.
 	f.Add([]byte{byte(packet.Telemetry), 0})
 	f.Add([]byte{byte(packet.Telemetry) + 1, 0})
+	// A frame as TCPChannel's header writer lays it out (it does not go
+	// through EncodeFrame), less the length prefix.
+	f.Add(wireOf(f, p)[recordLn:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := DecodeFrame(data)
@@ -34,6 +38,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		re := EncodeFrame(nil, q)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("re-encode mismatch:\n in: %x\nout: %x", data, re)
+		}
+		// ...and so must the TCP write path, behind its length prefix.
+		wire := wireOf(t, q)
+		if n := binary.BigEndian.Uint32(wire); int(n) != len(data) || !bytes.Equal(wire[recordLn:], data) {
+			t.Fatalf("TCP wire mismatch:\n in: %x\nout: %x (length prefix %d)", data, wire[recordLn:], n)
 		}
 	})
 }

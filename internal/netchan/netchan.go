@@ -190,7 +190,11 @@ type TCPChannel struct {
 	conn net.Conn
 	bw   *bufio.Writer
 	br   *bufio.Reader
-	wbuf []byte
+	whdr [recordLn + hdrBase + hdrSeq]byte // record header under construction (writeFrame)
+
+	// deadlined records that conn carries a non-zero read deadline, so a
+	// ReadPacket without timeout knows whether there is one to clear.
+	deadlined bool
 
 	// In-flight read state, persisted across ReadPacket calls so a read
 	// deadline can fire at any byte position without desyncing the
@@ -243,19 +247,29 @@ func TCPPair() (*TCPChannel, *TCPChannel, error) {
 	return NewTCPChannel(dial), NewTCPChannel(acc.c), nil
 }
 
-// writeFrame encodes p and buffers its length-prefixed record without
-// flushing.
+// writeFrame buffers p's length-prefixed record without flushing. The
+// bytes are exactly recordLn of length followed by EncodeFrame's (the
+// fuzz corpus pins that), but nothing is staged: the header is built in
+// the channel's own array and the payload is written from where it
+// lies, so the only copy is the one into the bufio.Writer, and nothing
+// allocates.
 func (t *TCPChannel) writeFrame(p *packet.Packet) error {
-	t.wbuf = EncodeFrame(t.wbuf[:0], p)
-	if len(t.wbuf) > MaxFrame {
+	h := t.whdr[:recordLn+hdrBase]
+	h[recordLn], h[recordLn+1] = byte(p.Kind), 0
+	if p.HasSeq {
+		h = t.whdr[:]
+		h[recordLn+1] = flagSeq
+		binary.BigEndian.PutUint64(h[recordLn+hdrBase:], p.Seq)
+	}
+	n := len(h) - recordLn + len(p.Payload)
+	if n > MaxFrame {
 		return ErrFrameTooBig
 	}
-	var ln [recordLn]byte
-	binary.BigEndian.PutUint32(ln[:], uint32(len(t.wbuf)))
-	if _, err := t.bw.Write(ln[:]); err != nil {
+	binary.BigEndian.PutUint32(h, uint32(n))
+	if _, err := t.bw.Write(h); err != nil {
 		return err
 	}
-	_, err := t.bw.Write(t.wbuf)
+	_, err := t.bw.Write(p.Payload)
 	return err
 }
 
@@ -268,31 +282,72 @@ func (t *TCPChannel) Send(p *packet.Packet) error {
 	return t.bw.Flush()
 }
 
-// SendBatch implements channel.BatchSender: every record is buffered
-// and the writer flushed once, so a batch costs one write syscall
-// instead of one per packet — the writev of the record stream. A flush
-// failure leaves delivery of the buffered records uncertain; they are
-// counted as accepted (indistinguishable from wire loss, which the
-// striping protocol already recovers from) and the error is returned.
-func (t *TCPChannel) SendBatch(pkts []*packet.Packet) (int, error) {
+// Buffer implements channel.BufferedSender: every record is appended to
+// the channel's write buffer and none is flushed (the buffer writes
+// itself out only when it fills), so consecutive Buffer calls share one
+// write syscall — whenever the caller's Flush comes. n < len(pkts) only
+// when pkts[n] could not be encoded; the records before it are buffered
+// whole, so a refusal never desyncs the stream.
+func (t *TCPChannel) Buffer(pkts []*packet.Packet) (int, error) {
 	for i, p := range pkts {
 		if err := t.writeFrame(p); err != nil {
-			// Push any complete records already buffered so a failure on
-			// pkts[i] cannot desync the stream for its predecessors.
-			if ferr := t.bw.Flush(); ferr != nil {
-				return i, ferr
-			}
 			return i, err
 		}
-	}
-	if err := t.bw.Flush(); err != nil {
-		return len(pkts), err
 	}
 	return len(pkts), nil
 }
 
+// Flush implements channel.BufferedSender: one write syscall for
+// everything buffered (none when nothing is). A failure leaves delivery
+// of the buffered records uncertain; they stay counted as accepted
+// (indistinguishable from wire loss, which the striping protocol
+// already recovers from).
+func (t *TCPChannel) Flush() error { return t.bw.Flush() }
+
+// SendBatch implements channel.BatchSender as Buffer then Flush, so a
+// direct caller's batch costs one write syscall instead of one per
+// packet and nothing is left buffered when it returns. The flush
+// happens even when Buffer refused a packet, pushing out the complete
+// records before it; a flush failure takes precedence over the refusal.
+func (t *TCPChannel) SendBatch(pkts []*packet.Packet) (int, error) {
+	n, err := t.Buffer(pkts)
+	if ferr := t.Flush(); ferr != nil {
+		return n, ferr
+	}
+	return n, err
+}
+
+// read is br.Read behind the lazy-deadline rule: the read deadline is
+// touched only when the read is about to reach the socket (the
+// bufio.Reader is empty) and at most once per ReadPacket (*armed),
+// because SetReadDeadline costs a runtime timer update whether or not
+// the read would ever have waited. A record served from the buffer
+// never touches conn, so whatever deadline an earlier call left there —
+// long expired, perhaps — cannot fire on it; and the next read that
+// does reach the socket re-arms (or clears) first. Clearing is skipped
+// when no deadline is set.
+func (t *TCPChannel) read(b []byte, timeout time.Duration, armed *bool) (int, error) {
+	if !*armed && t.br.Buffered() == 0 {
+		*armed = true
+		if timeout > 0 {
+			t.deadlined = true
+			if err := t.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+				return 0, err
+			}
+		} else if t.deadlined {
+			if err := t.conn.SetReadDeadline(time.Time{}); err != nil {
+				return 0, err
+			}
+			t.deadlined = false
+		}
+	}
+	return t.br.Read(b)
+}
+
 // ReadPacket blocks for up to timeout (zero means forever) and returns
-// the next packet; a timeout returns (nil, nil).
+// the next packet; a timeout returns (nil, nil). The timeout bounds the
+// wait on the socket, starting at the call's first read that reaches it
+// (see read); a record already buffered is returned without a wait.
 //
 // A deadline may fire at any byte position — half-way through the
 // 4-byte length prefix, or mid-record — without corrupting the stream:
@@ -303,18 +358,10 @@ func (t *TCPChannel) SendBatch(pkts []*packet.Packet) (int, error) {
 // subsequent frame on the connection.) A non-timeout error mid-record
 // (connection torn down) is reported as a truncated record.
 func (t *TCPChannel) ReadPacket(timeout time.Duration) (*packet.Packet, error) {
-	if timeout > 0 {
-		if err := t.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := t.conn.SetReadDeadline(time.Time{}); err != nil {
-			return nil, err
-		}
-	}
+	armed := false
 	if t.rbodyLen < 0 {
 		for t.rlenN < recordLn {
-			m, err := t.br.Read(t.rlen[t.rlenN:])
+			m, err := t.read(t.rlen[t.rlenN:], timeout, &armed)
 			t.rlenN += m
 			if err != nil {
 				var ne net.Error
@@ -337,7 +384,7 @@ func (t *TCPChannel) ReadPacket(timeout time.Duration) (*packet.Packet, error) {
 	}
 	body := t.rbody[:t.rbodyLen]
 	for t.rbodyN < t.rbodyLen {
-		m, err := t.br.Read(body[t.rbodyN:])
+		m, err := t.read(body[t.rbodyN:], timeout, &armed)
 		t.rbodyN += m
 		if err != nil {
 			var ne net.Error

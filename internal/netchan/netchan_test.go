@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -296,6 +297,13 @@ func TestTCPOversizeRecordRejectedOnRead(t *testing.T) {
 // arbitrary byte position inside a record.
 type scriptedConn struct {
 	steps []scriptStep
+
+	// log records, in order, every socket read ("read") and every read
+	// deadline armed ("arm") or cleared ("clear"); writes counts Write
+	// calls, whose bytes go to sink when it is set and nowhere otherwise.
+	log    []string
+	writes int
+	sink   *bytes.Buffer
 }
 
 type scriptStep struct {
@@ -310,6 +318,7 @@ func (timeoutError) Timeout() bool   { return true }
 func (timeoutError) Temporary() bool { return true }
 
 func (c *scriptedConn) Read(b []byte) (int, error) {
+	c.log = append(c.log, "read")
 	if len(c.steps) == 0 {
 		return 0, io.EOF
 	}
@@ -327,12 +336,27 @@ func (c *scriptedConn) Read(b []byte) (int, error) {
 	return n, nil
 }
 
-func (c *scriptedConn) Write(b []byte) (int, error)      { return len(b), nil }
+func (c *scriptedConn) Write(b []byte) (int, error) {
+	c.writes++
+	if c.sink != nil {
+		c.sink.Write(b)
+	}
+	return len(b), nil
+}
+
+func (c *scriptedConn) SetReadDeadline(d time.Time) error {
+	if d.IsZero() {
+		c.log = append(c.log, "clear")
+	} else {
+		c.log = append(c.log, "arm")
+	}
+	return nil
+}
+
 func (c *scriptedConn) Close() error                     { return nil }
 func (c *scriptedConn) LocalAddr() net.Addr              { return &net.TCPAddr{} }
 func (c *scriptedConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
 func (c *scriptedConn) SetDeadline(time.Time) error      { return nil }
-func (c *scriptedConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *scriptedConn) SetWriteDeadline(time.Time) error { return nil }
 
 // record builds one length-prefixed wire record for p.
@@ -535,6 +559,197 @@ func TestUDPSendBatchRoundTrip(t *testing.T) {
 		}
 		if got := binary.BigEndian.Uint64(p.Payload); got != uint64(i) {
 			t.Fatalf("datagram %d arrived as %d", i, got)
+		}
+	}
+}
+
+// --- Lazy read deadline --------------------------------------------------
+
+func dataRecords(t *testing.T, n int) []byte {
+	t.Helper()
+	var wire []byte
+	for i := 0; i < n; i++ {
+		p := &packet.Packet{Kind: packet.Data, Payload: []byte{byte(i), 1, 2, 3}, Seq: uint64(i), HasSeq: true}
+		wire = append(wire, record(t, p)...)
+	}
+	return wire
+}
+
+func readAll(t *testing.T, ch *TCPChannel, n int, timeout time.Duration) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		p, err := ch.ReadPacket(timeout)
+		if err != nil || p == nil || p.Seq != uint64(i) {
+			t.Fatalf("record %d: (%+v, %v)", i, p, err)
+		}
+		p.Release()
+	}
+}
+
+// TestDeadlineNotTouchedOnBufferedRecords: records one socket read
+// delivered cost one SetReadDeadline between them, not one each — the
+// calls after the first are served from the bufio.Reader and must not
+// touch the conn at all.
+func TestDeadlineNotTouchedOnBufferedRecords(t *testing.T) {
+	const n = 64
+	conn := &scriptedConn{steps: []scriptStep{{data: dataRecords(t, n)}}}
+	ch := NewTCPChannel(conn)
+	readAll(t, ch, n, time.Second)
+	if got, want := strings.Join(conn.log, " "), "arm read"; got != want {
+		t.Fatalf("%d buffered records: conn saw %q, want %q", n, got, want)
+	}
+}
+
+// TestDeadlineArmedOncePerBlockingCall: a call whose record arrives in
+// several socket reads arms once, before the first of them.
+func TestDeadlineArmedOncePerBlockingCall(t *testing.T) {
+	rec := dataRecords(t, 1)
+	conn := &scriptedConn{steps: []scriptStep{
+		{data: rec[:2]}, {data: rec[2 : recordLn+3]}, {data: rec[recordLn+3:]},
+	}}
+	ch := NewTCPChannel(conn)
+	readAll(t, ch, 1, time.Second)
+	if got, want := strings.Join(conn.log, " "), "arm read read read"; got != want {
+		t.Fatalf("dribbled record: conn saw %q, want %q", got, want)
+	}
+}
+
+// TestDeadlineClearedBeforeBlockingForever: after a call with a timeout
+// armed the conn, a call without one must clear the deadline before it
+// reaches the socket — or the stale deadline would end a wait that was
+// to last forever — and must not clear one that is not set.
+func TestDeadlineClearedBeforeBlockingForever(t *testing.T) {
+	rec := dataRecords(t, 3)
+	one := len(rec) / 3
+	conn := &scriptedConn{steps: []scriptStep{
+		{data: rec[:one]}, {data: rec[one : 2*one]}, {data: rec[2*one:]},
+	}}
+	ch := NewTCPChannel(conn)
+	for i, timeout := range []time.Duration{time.Second, 0, 0} {
+		p, err := ch.ReadPacket(timeout)
+		if err != nil || p == nil || p.Seq != uint64(i) {
+			t.Fatalf("record %d: (%+v, %v)", i, p, err)
+		}
+	}
+	if got, want := strings.Join(conn.log, " "), "arm read clear read read"; got != want {
+		t.Fatalf("conn saw %q, want %q", got, want)
+	}
+
+	fresh := &scriptedConn{steps: []scriptStep{{data: dataRecords(t, 1)}}}
+	readAll(t, NewTCPChannel(fresh), 1, 0)
+	if got, want := strings.Join(fresh.log, " "), "read"; got != want {
+		t.Fatalf("never-armed conn saw %q, want %q", got, want)
+	}
+}
+
+// TestDeadlineRearmedAfterTimeout: the call after a timeout is a new
+// wait and arms afresh.
+func TestDeadlineRearmedAfterTimeout(t *testing.T) {
+	conn := &scriptedConn{steps: []scriptStep{{timeout: true}, {data: dataRecords(t, 1)}}}
+	ch := NewTCPChannel(conn)
+	if p, err := ch.ReadPacket(time.Second); p != nil || err != nil {
+		t.Fatalf("idle read: (%v, %v)", p, err)
+	}
+	readAll(t, ch, 1, time.Second)
+	if got, want := strings.Join(conn.log, " "), "arm read arm read"; got != want {
+		t.Fatalf("conn saw %q, want %q", got, want)
+	}
+}
+
+// --- Write path: flush boundary, allocations, wire format ----------------
+
+func testBatch(n int, hasSeq bool) []*packet.Packet {
+	pkts := make([]*packet.Packet, n)
+	for i := range pkts {
+		pkts[i] = &packet.Packet{Kind: packet.Data, Payload: make([]byte, 200+i), Seq: uint64(i), HasSeq: hasSeq}
+	}
+	return pkts
+}
+
+// TestBufferedRecordsShareOneFlush: Buffer defers the write, Flush is
+// one write for everything buffered and none for nothing, and SendBatch
+// leaves nothing behind.
+func TestBufferedRecordsShareOneFlush(t *testing.T) {
+	conn := &scriptedConn{}
+	ch := NewTCPChannel(conn)
+	pkts := testBatch(16, true)
+	for run := 0; run < 4; run++ {
+		if n, err := ch.Buffer(pkts[4*run : 4*run+4]); n != 4 || err != nil {
+			t.Fatalf("Buffer = (%d, %v)", n, err)
+		}
+	}
+	if conn.writes != 0 {
+		t.Fatalf("Buffer wrote to the conn %d times before Flush", conn.writes)
+	}
+	if err := ch.Flush(); err != nil || conn.writes != 1 {
+		t.Fatalf("Flush: err %v, %d writes for four buffered runs, want 1", err, conn.writes)
+	}
+	if err := ch.Flush(); err != nil || conn.writes != 1 {
+		t.Fatalf("empty Flush: err %v, %d writes, want still 1", err, conn.writes)
+	}
+	if n, err := ch.SendBatch(pkts); n != len(pkts) || err != nil || conn.writes != 2 {
+		t.Fatalf("SendBatch = (%d, %v) in %d writes, want one more", n, err, conn.writes-1)
+	}
+	if ch.bw.Buffered() != 0 {
+		t.Fatalf("SendBatch left %d bytes buffered", ch.bw.Buffered())
+	}
+}
+
+// TestBufferedRefusalKeepsStreamWhole: a packet that cannot be encoded
+// is refused without a byte of it buffered, and SendBatch still pushes
+// out the complete records before it.
+func TestBufferedRefusalKeepsStreamWhole(t *testing.T) {
+	conn := &scriptedConn{sink: new(bytes.Buffer)}
+	ch := NewTCPChannel(conn)
+	good := &packet.Packet{Kind: packet.Data, Payload: []byte("ok")}
+	pkts := []*packet.Packet{good, packet.NewDataSized(MaxFrame), good}
+	if n, err := ch.SendBatch(pkts); n != 1 || err != ErrFrameTooBig {
+		t.Fatalf("SendBatch = (%d, %v), want (1, ErrFrameTooBig)", n, err)
+	}
+	if want := record(t, good); !bytes.Equal(conn.sink.Bytes(), want) {
+		t.Fatalf("wire holds %x, want exactly the first record %x", conn.sink.Bytes(), want)
+	}
+}
+
+// TestTCPSendZeroAlloc: the TCP write path allocates nothing per packet
+// or per call, with and without a sequence number.
+func TestTCPSendZeroAlloc(t *testing.T) {
+	for _, hasSeq := range []bool{false, true} {
+		ch := NewTCPChannel(&scriptedConn{})
+		pkts := testBatch(64, hasSeq)
+		if a := testing.AllocsPerRun(100, func() { ch.SendBatch(pkts) }); a != 0 {
+			t.Errorf("SendBatch (HasSeq=%v): %v allocs per 64-packet batch, want 0", hasSeq, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { ch.Buffer(pkts) }); a != 0 {
+			t.Errorf("Buffer (HasSeq=%v): %v allocs per 64-packet batch, want 0", hasSeq, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { ch.Send(pkts[0]) }); a != 0 {
+			t.Errorf("Send (HasSeq=%v): %v allocs per packet, want 0", hasSeq, a)
+		}
+	}
+}
+
+// wireOf returns the bytes TCPChannel puts on the wire for p.
+func wireOf(t testing.TB, p *packet.Packet) []byte {
+	t.Helper()
+	conn := &scriptedConn{sink: new(bytes.Buffer)}
+	if err := NewTCPChannel(conn).Send(p); err != nil {
+		t.Fatal(err)
+	}
+	return conn.sink.Bytes()
+}
+
+// TestBufferedWireFormatMatchesEncodeFrame pins the header writer to
+// the codec it no longer calls: length prefix, then EncodeFrame's bytes.
+func TestBufferedWireFormatMatchesEncodeFrame(t *testing.T) {
+	for _, p := range []*packet.Packet{
+		{Kind: packet.Data},
+		{Kind: packet.Data, Payload: []byte("payload"), Seq: 1<<63 + 5, HasSeq: true},
+		packet.NewMarker(packet.MarkerBlock{Channel: 2, Round: 9, Deficit: -7}),
+		{Kind: packet.Telemetry, Payload: make([]byte, 300)},
+	} {
+		if got, want := wireOf(t, p), record(t, p); !bytes.Equal(got, want) {
+			t.Errorf("%v: wire %x, want %x", p.Kind, got, want)
 		}
 	}
 }

@@ -313,8 +313,10 @@ func (s *Session) Send(p *Packet) error {
 }
 
 // SendBatch stripes pkts in FIFO order toward the peer, taking the
-// session lock once for the whole batch and flushing maximal
-// same-channel runs in single channel writes. It blocks exactly as Send
+// session lock once for the whole batch, handing maximal same-channel
+// runs to the channels in single calls, and writing each buffering (TCP)
+// channel once per attempt — before it returns and before it waits for
+// credit, so nothing sent sits in a buffer. It blocks exactly as Send
 // does — while flow control holds the selected channel, and across
 // transport-failure retries the health monitor can absorb — and returns
 // the number of packets sent. n < len(pkts) only alongside a non-nil
@@ -324,7 +326,7 @@ func (s *Session) Send(p *Packet) error {
 // Arrivals (and the credits they carry) are processed by Arrive on
 // other goroutines, so a batch blocked on credit makes progress exactly
 // as single-packet Sends would; the batch only amortizes lock and
-// flush overhead, it never holds the lock while waiting.
+// write overhead, it never holds the lock while waiting.
 func (s *Session) SendBatch(pkts []*Packet) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

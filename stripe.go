@@ -252,9 +252,9 @@ func (s *Sender) Send(p *Packet) error {
 // SendBytes stripes a payload.
 func (s *Sender) SendBytes(payload []byte) error { return s.Send(Data(payload)) }
 
-// SendBatch stripes pkts in FIFO order, taking the sender lock once and
-// flushing maximal same-channel runs in single channel writes. It
-// returns the number of packets sent; n < len(pkts) only alongside a
+// SendBatch stripes pkts in FIFO order, taking the sender lock once,
+// handing maximal same-channel runs to the channels in single calls, and
+// writing each buffering (TCP) channel once as it returns. It returns the number of packets sent; n < len(pkts) only alongside a
 // non-nil error, and pkts[n:] were not sent.
 func (s *Sender) SendBatch(pkts []*Packet) (int, error) {
 	s.mu.Lock()
