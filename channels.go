@@ -67,7 +67,8 @@ func (l *LocalChannel) Close() { l.live.Close() }
 
 // UDPChannel is one striped channel over a loopback UDP socket pair —
 // a channel with neither reliability nor flow control, the Section 6.3
-// configuration.
+// configuration. A datagram carries as many whole packets as fit an
+// Ethernet MTU, so a lost datagram is a burst of losses on one channel.
 type UDPChannel = netchan.UDPChannel
 
 // NewUDPChannelPair returns connected send and receive ends over

@@ -32,8 +32,9 @@
 //
 // SendBatch/RecvBatch move packets in bulk: the session lock is taken
 // once per batch, the scheduler is consulted once per service run, and
-// each TCP channel the batch touched is written once, as the call
-// returns (nothing stays buffered behind it). The single-packet Send
+// each TCP or UDP channel the batch touched is written once, as the
+// call returns (nothing stays buffered behind it; a UDP channel writes a
+// datagram per MTU of records). The single-packet Send
 // and Recv are batches of one, so the two styles mix freely. The pool
 // makes the steady state allocation-free; its lifetime rules:
 //
@@ -58,7 +59,10 @@
 // every marker arrival and re-grants consumed+lost+window, so credits
 // lost with dropped packets are reclaimed within a marker period and
 // the sender never wedges permanently (grants are folded monotonically,
-// making lost or reordered markers harmless). Config.MaxBuffered caps
+// making lost or reordered markers harmless). Between markers a session
+// returns grants in credit packets of their own once the application has
+// drained half a window, at most one round of them per millisecond, so a
+// one-way flow does not wait on the peer's marker timer. Config.MaxBuffered caps
 // resequencer memory: markers that no data precedes are drained eagerly
 // (an idle-but-markered direction stays at O(channels) occupancy), a
 // full buffer escalates to forced delivery past gaps, and at twice the

@@ -57,19 +57,22 @@ type BatchSender interface {
 
 // BufferedSender is optionally implemented by a BatchSender that writes
 // through a user-space buffer and can leave the moment of the write
-// syscall to its caller. It splits SendBatch in two — SendBatch is
-// exactly Buffer then Flush — so a caller sending several vectors in a
-// row (the striper: one per service run, plus markers) decides how many
-// of them share one write. How much goes to a channel before the next
-// one is served is the scheduler's logical decision; when the bytes
-// cross into the kernel is a physical one, and this is the seam that
-// keeps them apart. The caller owes a Flush before it returns to code
+// syscall to its caller: a TCP stream's write buffer, or the UDP
+// datagram being filled (netchan's TCPChannel and UDPChannel). It splits
+// SendBatch in two — SendBatch is exactly Buffer then Flush — so a
+// caller sending several vectors in a row (the striper: one per service
+// run, plus markers) decides how many of them share one write. How much
+// goes to a channel before the next one is served is the scheduler's
+// logical decision; when the bytes cross into the kernel is a physical
+// one, and this is the seam that keeps them apart. The caller owes a Flush before it returns to code
 // that may wait on the peer: a buffered packet is not on the wire.
 type BufferedSender interface {
 	BatchSender
 	// Buffer enqueues pkts in FIFO order behind everything already
 	// buffered, with SendBatch's contract for n and err, but may leave
-	// the records in the channel's write buffer.
+	// the records in the channel's write buffer. (It may also write: a
+	// buffer that fills — a datagram at its size budget — goes out
+	// without waiting for Flush.)
 	Buffer(pkts []*packet.Packet) (int, error)
 	// Flush hands every buffered record to the transport. After a
 	// failure the delivery of the records buffered since the previous

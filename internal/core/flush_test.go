@@ -454,3 +454,49 @@ func TestFlushWritesPerBatchOverTCP(t *testing.T) {
 		}
 	}
 }
+
+// TestSendCreditIsNotAMarkerBatch: a credit is one control packet on one
+// channel, on the wire when the call returns, and nothing else moves —
+// no marker is cut, no announcement repeat is spent, the scheduler does
+// not advance. (Credits are sent once per half window; a marker batch at
+// that rate would run the announcement and drain clocks out at once.)
+func TestSendCreditIsNotAMarkerBatch(t *testing.T) {
+	const nch = 3
+	chans, senders := bufChans(nch)
+	st := mustStriper(t, StriperConfig{
+		Sched:    sched.MustSRR(sched.UniformQuanta(nch, 1500)),
+		Channels: senders,
+	})
+	if err := st.RemoveChannel(2); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Stats()
+	onWire := len(chans[0].wire) + len(chans[1].wire) + len(chans[2].wire)
+	for i := 1; i <= 1000; i++ {
+		if err := st.SendCredit(1, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		requireNothingHeld(t, "after SendCredit", chans)
+	}
+	if st.announceLeft != MemberAnnounceBatches {
+		t.Errorf("announceLeft = %d after 1000 credits, want all %d repeats still owed", st.announceLeft, MemberAnnounceBatches)
+	}
+	if after := st.Stats(); after.Markers != before.Markers || after.Round != before.Round {
+		t.Errorf("credits moved the striper: markers %d -> %d, round %d -> %d", before.Markers, after.Markers, before.Round, after.Round)
+	}
+	if got := len(chans[0].wire) + len(chans[1].wire) + len(chans[2].wire) - onWire; got != 1000 {
+		t.Errorf("%d packets on the wire for 1000 credits", got)
+	}
+	last := chans[1].wire[len(chans[1].wire)-1]
+	if cb, err := packet.CreditOf(last); err != nil || cb.Channel != 1 || cb.Grant != 1000 {
+		t.Errorf("last packet on channel 1 is (%+v, %v), want credit{1, 1000}", cb, err)
+	}
+	// A slot outside the live set has no reverse channel to use.
+	if err := st.SendCredit(2, 1); err == nil {
+		t.Error("SendCredit on a removed slot succeeded")
+	}
+	chans[1].flushErr = errLinkDown
+	if err := st.SendCredit(1, 1001); !errors.Is(err, errLinkDown) || st.ErrStreak(1) != 1 {
+		t.Errorf("SendCredit over a failing flush = %v, streak %d", err, st.ErrStreak(1))
+	}
+}

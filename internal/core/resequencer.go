@@ -481,6 +481,12 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 		// never enters the delivery order or the simulation.
 		r.consumeTelemetry(c, p)
 		return
+	case p.Kind == packet.Credit:
+		// A credit is for the local sender's gate (the embedding applies
+		// it before handing the packet over); it never enters the delivery
+		// order either.
+		row.Control++
+		return
 	case p.Kind > packet.Telemetry:
 		// Forward compatibility: an unrecognized codepoint from a newer
 		// peer is dropped here, before it can reach the buffers — the
@@ -596,10 +602,6 @@ func (r *Resequencer) drainEagerMarkers(c int) {
 				r.pending[c] = m
 				r.pendingHas[c] = true
 			}
-		case packet.Credit:
-			// Credits belong on the reverse path; tolerate and drop.
-			r.pop(c)
-			r.led.PerChannel[c].Control++
 		default:
 			return
 		}
@@ -891,9 +893,8 @@ func (r *Resequencer) consumeControl(c int) (packet.MarkerBlock, bool) {
 }
 
 // control gives a control packet from channel c, held in no buffer, its
-// fate: markers are consumed (and returned when valid), resets applied,
-// and anything else — credits belong on the reverse path — tolerated
-// and dropped.
+// fate: markers are consumed (and returned when valid) and resets
+// applied.
 func (r *Resequencer) control(c int, p *packet.Packet) (packet.MarkerBlock, bool) {
 	if p.Kind == packet.Marker {
 		return r.consumeMarker(c, p)

@@ -313,6 +313,24 @@ func (st *Striper) flushAfter(err error) error {
 	return err
 }
 
+// SendCredit transmits a credit packet on slot c: the receive side
+// returning grant for channel c between markers, on the reverse channel
+// of the same index. It is deliberately not a marker batch — it ticks no
+// announcement or drain clock and stamps nothing — only the cumulative
+// grant, which the peer folds in with a monotone max, so a lost,
+// duplicated or reordered credit costs at most the wait for the next
+// marker's copy. Like every control packet it bypasses the scheduler and
+// the gate, and a transport error feeds the slot's error streak.
+//
+//stripe:allowescape control-plane: one packet per half credit window, and the credit packet must allocate
+func (st *Striper) SendCredit(c int, grant uint64) error {
+	if c < 0 || c >= len(st.out) || !st.active[c] {
+		return fmt.Errorf("core: credit for channel %d, which is not in the live set", c)
+	}
+	cb := packet.CreditBlock{Channel: uint32(c), Grant: grant} // c ranges over [0, N): non-negative, small
+	return st.flushAfter(st.sendControl(c, packet.NewCredit(cb)))
+}
+
 // Round returns the sender's global round number G (zero for
 // round-less causal schedulers).
 func (st *Striper) Round() uint64 {
@@ -476,10 +494,11 @@ func (st *Striper) Send(p *packet.Packet) error {
 // predicted against the scheduler's cost model and handed to the
 // channel in one call. Where a run ends is the scheduler's decision and
 // costs no syscall: on channels that buffer (channel.BufferedSender —
-// TCP) the runs, and the markers cut between them, only accumulate, and
-// each channel written to is flushed once, on the way out (flushDirty);
-// other channels are written run by run. It returns the number of
-// packets transmitted; n < len(pkts) only alongside a non-nil error —
+// TCP and UDP) the runs, and the markers cut between them, only
+// accumulate, and each channel written to is flushed once, on the way
+// out (flushDirty); other channels are written run by run. It returns
+// the number of packets transmitted; n < len(pkts) only alongside a
+// non-nil error —
 // ErrGated when flow control vetoed pkts[n] (retry pkts[n:] once
 // credits arrive), or a *ChannelSendError when a transport failed.
 // Exactly as with Send, a packet the transport did not accept is

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"time"
 
 	"stripe/internal/packet"
 )
@@ -86,6 +87,65 @@ func FuzzDecodeCredit(f *testing.F) {
 		re := got.Encode(nil)
 		if !bytes.Equal(re, data[:packet.CreditWireLen]) {
 			t.Fatalf("credit re-encode mismatch")
+		}
+	})
+}
+
+// FuzzUDPDatagram hardens the datagram parser — splitRecord under
+// UDPChannel.ReadPacket — against arbitrary bytes arriving as one
+// datagram: it never panics, stops at the first record it cannot trust,
+// never hands out a payload that aliases the read buffer (the next
+// datagram overwrites it), and never yields more payload bytes than the
+// datagram held.
+func FuzzUDPDatagram(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0})
+	// The write path's own output: one record, and a run with its marker.
+	p := packet.NewData([]byte("seed payload"))
+	p.Seq, p.HasSeq = 7, true
+	one := wireOf(f, p)
+	f.Add(one)
+	run := append(append(append([]byte(nil), one...), one...),
+		wireOf(f, packet.NewMarker(packet.MarkerBlock{Channel: 1, Round: 2, Deficit: -3}))...)
+	f.Add(run)
+	f.Add(run[:len(run)-1])                                         // last record cut short
+	f.Add(append(append([]byte(nil), one...), 0, 0, 0, 2, 0xee, 0)) // bad codepoint after a good record
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		conn := &scriptedConn{steps: []scriptStep{{data: data}, {timeout: true}}}
+		ch := newUDPChannel(conn)
+		var got []*packet.Packet
+		payload := 0
+		for {
+			q, err := ch.ReadPacket(time.Second)
+			if q == nil && err == nil {
+				break // the scripted timeout: the datagram is used up
+			}
+			if err != nil {
+				continue // a bad frame skips one record, a bad length the rest
+			}
+			got = append(got, q)
+			payload += len(q.Payload)
+		}
+		if payload > len(data) {
+			t.Fatalf("%d payload bytes out of a %d-byte datagram", payload, len(data))
+		}
+		// Overwrite the read buffer, as the next datagram would: whatever
+		// was handed out must re-encode to the bytes it was parsed from.
+		var want []byte
+		for _, q := range got {
+			want = append(want, wireOf(t, q)...)
+		}
+		for i := range ch.rbuf {
+			ch.rbuf[i] ^= 0xff
+		}
+		var after []byte
+		for _, q := range got {
+			after = append(after, wireOf(t, q)...)
+		}
+		if !bytes.Equal(want, after) {
+			t.Fatal("a returned packet aliases the channel's read buffer")
 		}
 	})
 }

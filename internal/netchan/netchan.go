@@ -72,10 +72,11 @@ func EncodeFrame(dst []byte, p *packet.Packet) []byte {
 // DecodeFrame parses a frame back into a packet. The payload is copied
 // out of b — never aliased — so the caller may reuse (or overwrite) the
 // buffer immediately; that copy is what lets the channels below read
-// every record into one channel-owned buffer. The returned packet is
+// every record into one channel-owned buffer. A returned data packet is
 // drawn from the packet pool: once the receiver is done with it (and
 // retains no slice of its payload) it may hand it back with
-// Packet.Release, making the steady-state receive path allocation-free.
+// Packet.Release, making the steady-state receive path allocation-free
+// (control packets: see newPacket).
 func DecodeFrame(b []byte) (*packet.Packet, error) {
 	if len(b) < hdrBase {
 		return nil, ErrFrameTooShort
@@ -87,8 +88,7 @@ func DecodeFrame(b []byte) (*packet.Packet, error) {
 	if flags&^flagSeq != 0 {
 		return nil, ErrBadFlags
 	}
-	p := packet.Get()
-	p.Kind = packet.Kind(b[0])
+	p := newPacket(packet.Kind(b[0]))
 	b = b[hdrBase:]
 	if flags&flagSeq != 0 {
 		if len(b) < hdrSeq {
@@ -103,14 +103,109 @@ func DecodeFrame(b []byte) (*packet.Packet, error) {
 	return p, nil
 }
 
+// newPacket returns the packet a frame of the given kind is decoded
+// into. Data comes from the pool, because the application hands it back
+// (Packet.Release). A control packet is consumed by the resequencer and
+// never handed back, so drawing it from the pool would drain the pool by
+// one per marker, to be refilled by a miss — two allocations, packet and
+// payload, in bursts. It gets one allocation of its own instead, with
+// room for any fixed-size control block.
+func newPacket(kind packet.Kind) *packet.Packet {
+	if kind == packet.Data {
+		p := packet.Get()
+		p.Kind = kind
+		return p
+	}
+	c := new(struct {
+		packet.Packet
+		block [64]byte
+	})
+	c.Kind = kind
+	c.Payload = c.block[:0]
+	return &c.Packet
+}
+
+// A record is the unit both transports put on the wire: recordLn bytes
+// of big-endian length, then that many bytes of frame (EncodeFrame's). A
+// TCP connection is a stream of records; a UDP datagram is a sequence of
+// whole records. recordHeader and splitRecord are the one encoder and
+// the one parser of that layout.
+
+// maxRecordHdr is the longest record header: length prefix, frame
+// header, sequence number.
+const maxRecordHdr = recordLn + hdrBase + hdrSeq
+
+// recordHeader builds in h everything of p's record that precedes the
+// payload — the length prefix and the frame header — and returns the
+// bytes used. The payload follows verbatim, so a writer copies it once,
+// from where it lies, into its own buffer, and nothing allocates.
+func recordHeader(h *[maxRecordHdr]byte, p *packet.Packet) ([]byte, error) {
+	hdr := h[:recordLn+hdrBase]
+	hdr[recordLn], hdr[recordLn+1] = byte(p.Kind), 0
+	if p.HasSeq {
+		hdr = h[:]
+		hdr[recordLn+1] = flagSeq
+		binary.BigEndian.PutUint64(hdr[recordLn+hdrBase:], p.Seq)
+	}
+	n := len(hdr) - recordLn + len(p.Payload)
+	if n > MaxFrame {
+		return nil, ErrFrameTooBig
+	}
+	binary.BigEndian.PutUint32(hdr, uint32(n))
+	return hdr, nil
+}
+
+// recordLen decodes a record's length prefix, rejecting lengths no
+// writer produces.
+func recordLen(prefix []byte) (int, error) {
+	n := binary.BigEndian.Uint32(prefix)
+	if n > MaxFrame {
+		return 0, ErrFrameTooBig
+	}
+	return int(n), nil
+}
+
+// splitRecord cuts the first record off b, which holds whole records
+// (a datagram): it returns the record's frame and the records after it.
+// A prefix that does not fit, or a length running past the end of b,
+// means the rest of b cannot be trusted.
+func splitRecord(b []byte) (frame, rest []byte, err error) {
+	if len(b) < recordLn {
+		return nil, nil, ErrFrameTooShort
+	}
+	n, err := recordLen(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n > len(b)-recordLn {
+		return nil, nil, fmt.Errorf("netchan: truncated record: length %d, %d bytes left in datagram", n, len(b)-recordLn)
+	}
+	return b[recordLn : recordLn+n], b[recordLn+n:], nil
+}
+
+// udpBudget is the datagram size Buffer fills up to before it writes:
+// an Ethernet MTU less the IPv4 and UDP headers, so a datagram of
+// several records still crosses a real link unfragmented. A record
+// larger than the budget travels alone.
+const udpBudget = 1500 - 20 - 8
+
 // UDPChannel is one striped channel over a pair of connected UDP
-// sockets. The send side implements channel.Sender; the receive side
-// blocks in ReadPacket. Loopback UDP is FIFO in practice; occasional
-// deviations fall under the paper's burst-error model and are exactly
-// what the marker protocol recovers from.
+// sockets. A datagram carries a sequence of whole records — the same
+// bytes TCPChannel writes — so a service run of small packets and the
+// marker behind it cross the kernel once. The send side implements
+// channel.BufferedSender; the receive side blocks in ReadPacket. A lost
+// datagram is a burst of consecutive losses on one channel, and loopback
+// UDP is FIFO in practice with occasional deviations: both fall under
+// the paper's burst-error model and are exactly what the marker protocol
+// recovers from.
 type UDPChannel struct {
-	conn *net.UDPConn
-	buf  []byte
+	conn net.Conn
+	whdr [maxRecordHdr]byte // record header under construction (Buffer)
+	wbuf []byte             // the datagram being filled; written by Flush
+
+	rbuf      []byte // the last datagram read
+	rest      []byte // its records not yet returned; aliases rbuf
+	deadlined bool   // conn carries a non-zero read deadline
 }
 
 // UDPPair creates a connected loopback socket pair and returns the two
@@ -127,53 +222,109 @@ func UDPPair() (send *UDPChannel, recv *UDPChannel, err error) {
 		b.Close()
 		return nil, nil, err
 	}
-	return &UDPChannel{conn: ac, buf: make([]byte, 64*1024)},
-		&UDPChannel{conn: b, buf: make([]byte, 64*1024)}, nil
+	return newUDPChannel(ac), newUDPChannel(b), nil
 }
 
-// Send implements channel.Sender: one frame per datagram.
+func newUDPChannel(conn net.Conn) *UDPChannel {
+	return &UDPChannel{
+		conn: conn,
+		wbuf: make([]byte, 0, udpBudget),
+		rbuf: make([]byte, 64*1024), // no UDP datagram is larger
+	}
+}
+
+// bufferRecord appends p's record to the pending datagram, first
+// writing the datagram out when the record would take it past udpBudget:
+// records are never split, so every datagram parses on its own.
+func (u *UDPChannel) bufferRecord(p *packet.Packet) error {
+	hdr, err := recordHeader(&u.whdr, p)
+	if err != nil {
+		return err
+	}
+	if len(u.wbuf) > 0 && len(u.wbuf)+len(hdr)+len(p.Payload) > udpBudget {
+		if err := u.Flush(); err != nil {
+			return err
+		}
+	}
+	u.wbuf = append(append(u.wbuf, hdr...), p.Payload...)
+	return nil
+}
+
+// Send implements channel.Sender: one record, written at once (behind
+// whatever an earlier Buffer left pending).
 func (u *UDPChannel) Send(p *packet.Packet) error {
-	frame := EncodeFrame(u.buf[:0], p)
-	_, err := u.conn.Write(frame)
-	return err
+	if err := u.bufferRecord(p); err != nil {
+		return err
+	}
+	return u.Flush()
 }
 
-// SendBatch implements channel.BatchSender. Datagram boundaries are
-// packet boundaries, so each packet still goes out as its own write —
-// there is nothing to coalesce without sendmmsg — but the whole batch
-// reuses the channel's one encode buffer, so batched UDP sends allocate
-// nothing.
-func (u *UDPChannel) SendBatch(pkts []*packet.Packet) (int, error) {
+// Buffer implements channel.BufferedSender: consecutive Buffer calls
+// share a datagram until it fills or the caller's Flush comes. n <
+// len(pkts) when pkts[n] could not be encoded, or the datagram that had
+// to make room for it could not be written (its records stay counted as
+// accepted, like any datagram the network loses).
+func (u *UDPChannel) Buffer(pkts []*packet.Packet) (int, error) {
 	for i, p := range pkts {
-		if err := u.Send(p); err != nil {
+		if err := u.bufferRecord(p); err != nil {
 			return i, err
 		}
 	}
 	return len(pkts), nil
 }
 
+// Flush implements channel.BufferedSender: one write for the pending
+// datagram (none when nothing is pending). The datagram is gone either
+// way — after a failure its records are an accepted-but-lost tail.
+func (u *UDPChannel) Flush() error {
+	if len(u.wbuf) == 0 {
+		return nil
+	}
+	_, err := u.conn.Write(u.wbuf)
+	u.wbuf = u.wbuf[:0]
+	return err
+}
+
+// SendBatch implements channel.BatchSender as Buffer then Flush, exactly
+// as TCPChannel does: a direct caller's batch costs one datagram per
+// udpBudget bytes and nothing is left pending when it returns.
+func (u *UDPChannel) SendBatch(pkts []*packet.Packet) (int, error) {
+	n, err := u.Buffer(pkts)
+	if ferr := u.Flush(); ferr != nil {
+		return n, ferr
+	}
+	return n, err
+}
+
 // ReadPacket blocks for up to timeout (zero means forever) and returns
 // the next packet. A timeout returns (nil, nil) so pollers can
-// distinguish idleness from failure.
+// distinguish idleness from failure. The records of a datagram are
+// served one call at a time without touching the socket, and the read
+// deadline is armed (or cleared, if one is set) only by a call that is
+// about to read the next datagram. A datagram whose record lengths do
+// not add up is reported once and dropped whole; the next call reads the
+// next datagram.
 func (u *UDPChannel) ReadPacket(timeout time.Duration) (*packet.Packet, error) {
-	if timeout > 0 {
-		if err := u.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+	if len(u.rest) == 0 {
+		if err := armRead(u.conn, timeout, &u.deadlined); err != nil {
 			return nil, err
 		}
-	} else {
-		if err := u.conn.SetReadDeadline(time.Time{}); err != nil {
+		n, err := u.conn.Read(u.rbuf)
+		if err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				return nil, nil
+			}
 			return nil, err
 		}
+		u.rest = u.rbuf[:n]
 	}
-	n, _, err := u.conn.ReadFromUDP(u.buf)
+	frame, rest, err := splitRecord(u.rest)
+	u.rest = rest
 	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			return nil, nil
-		}
 		return nil, err
 	}
-	return DecodeFrame(u.buf[:n])
+	return DecodeFrame(frame)
 }
 
 // Close releases the socket.
@@ -190,7 +341,7 @@ type TCPChannel struct {
 	conn net.Conn
 	bw   *bufio.Writer
 	br   *bufio.Reader
-	whdr [recordLn + hdrBase + hdrSeq]byte // record header under construction (writeFrame)
+	whdr [maxRecordHdr]byte // record header under construction (writeFrame)
 
 	// deadlined records that conn carries a non-zero read deadline, so a
 	// ReadPacket without timeout knows whether there is one to clear.
@@ -247,29 +398,19 @@ func TCPPair() (*TCPChannel, *TCPChannel, error) {
 	return NewTCPChannel(dial), NewTCPChannel(acc.c), nil
 }
 
-// writeFrame buffers p's length-prefixed record without flushing. The
-// bytes are exactly recordLn of length followed by EncodeFrame's (the
-// fuzz corpus pins that), but nothing is staged: the header is built in
-// the channel's own array and the payload is written from where it
-// lies, so the only copy is the one into the bufio.Writer, and nothing
-// allocates.
+// writeFrame buffers p's length-prefixed record without flushing.
+// Nothing is staged: the header is built in the channel's own array and
+// the payload is written from where it lies, so the only copy is the one
+// into the bufio.Writer, and nothing allocates.
 func (t *TCPChannel) writeFrame(p *packet.Packet) error {
-	h := t.whdr[:recordLn+hdrBase]
-	h[recordLn], h[recordLn+1] = byte(p.Kind), 0
-	if p.HasSeq {
-		h = t.whdr[:]
-		h[recordLn+1] = flagSeq
-		binary.BigEndian.PutUint64(h[recordLn+hdrBase:], p.Seq)
-	}
-	n := len(h) - recordLn + len(p.Payload)
-	if n > MaxFrame {
-		return ErrFrameTooBig
-	}
-	binary.BigEndian.PutUint32(h, uint32(n))
-	if _, err := t.bw.Write(h); err != nil {
+	hdr, err := recordHeader(&t.whdr, p)
+	if err != nil {
 		return err
 	}
-	_, err := t.bw.Write(p.Payload)
+	if _, err := t.bw.Write(hdr); err != nil {
+		return err
+	}
+	_, err = t.bw.Write(p.Payload)
 	return err
 }
 
@@ -329,19 +470,27 @@ func (t *TCPChannel) SendBatch(pkts []*packet.Packet) (int, error) {
 func (t *TCPChannel) read(b []byte, timeout time.Duration, armed *bool) (int, error) {
 	if !*armed && t.br.Buffered() == 0 {
 		*armed = true
-		if timeout > 0 {
-			t.deadlined = true
-			if err := t.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-				return 0, err
-			}
-		} else if t.deadlined {
-			if err := t.conn.SetReadDeadline(time.Time{}); err != nil {
-				return 0, err
-			}
-			t.deadlined = false
+		if err := armRead(t.conn, timeout, &t.deadlined); err != nil {
+			return 0, err
 		}
 	}
 	return t.br.Read(b)
+}
+
+// armRead prepares conn's read deadline for a read that is about to
+// reach the socket: armed timeout from now, or — for a wait that is to
+// last forever — cleared, which is skipped when *deadlined says none is
+// set.
+func armRead(conn net.Conn, timeout time.Duration, deadlined *bool) error {
+	if timeout > 0 {
+		*deadlined = true
+		return conn.SetReadDeadline(time.Now().Add(timeout))
+	}
+	if !*deadlined {
+		return nil
+	}
+	*deadlined = false
+	return conn.SetReadDeadline(time.Time{})
 }
 
 // ReadPacket blocks for up to timeout (zero means forever) and returns
@@ -371,12 +520,12 @@ func (t *TCPChannel) ReadPacket(timeout time.Duration) (*packet.Packet, error) {
 				return nil, err
 			}
 		}
-		n := binary.BigEndian.Uint32(t.rlen[:])
+		n, err := recordLen(t.rlen[:])
 		t.rlenN = 0
-		if n > MaxFrame {
-			return nil, ErrFrameTooBig
+		if err != nil {
+			return nil, err
 		}
-		t.rbodyLen = int(n)
+		t.rbodyLen = n
 		t.rbodyN = 0
 		if cap(t.rbody) < t.rbodyLen {
 			t.rbody = make([]byte, t.rbodyLen)

@@ -300,10 +300,13 @@ type scriptedConn struct {
 
 	// log records, in order, every socket read ("read") and every read
 	// deadline armed ("arm") or cleared ("clear"); writes counts Write
-	// calls, whose bytes go to sink when it is set and nowhere otherwise.
+	// calls, whose bytes go to sink (and their sizes to wrote, so the
+	// write boundaries can be found again) when it is set and nowhere
+	// otherwise.
 	log    []string
 	writes int
 	sink   *bytes.Buffer
+	wrote  []int
 }
 
 type scriptStep struct {
@@ -340,6 +343,7 @@ func (c *scriptedConn) Write(b []byte) (int, error) {
 	c.writes++
 	if c.sink != nil {
 		c.sink.Write(b)
+		c.wrote = append(c.wrote, len(b))
 	}
 	return len(b), nil
 }
@@ -725,6 +729,36 @@ func TestTCPSendZeroAlloc(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(100, func() { ch.Send(pkts[0]) }); a != 0 {
 			t.Errorf("Send (HasSeq=%v): %v allocs per packet, want 0", hasSeq, a)
+		}
+	}
+}
+
+// TestDecodeControlFrameLeavesThePoolAlone: a decoded control packet is
+// consumed by the resequencer and never released, so DecodeFrame gives
+// it one allocation of its own — packet and control block together —
+// instead of a pooled packet whose loss a later pool miss has to make
+// good with two.
+func TestDecodeControlFrameLeavesThePoolAlone(t *testing.T) {
+	var sink *packet.Packet
+	for _, p := range []*packet.Packet{
+		packet.NewMarker(packet.MarkerBlock{Channel: 1, Round: 7, Credits: 1 << 20}),
+		packet.NewCredit(packet.CreditBlock{Channel: 1, Grant: 1 << 20}),
+	} {
+		frame := EncodeFrame(nil, p)
+		if a := testing.AllocsPerRun(100, func() {
+			q, err := DecodeFrame(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink = q
+		}); a != 1 {
+			t.Errorf("decoding a %s frame: %v allocations, want 1", p.Kind, a)
+		}
+		if sink.Kind != p.Kind || !bytes.Equal(sink.Payload, p.Payload) {
+			t.Errorf("%s frame decoded to (%s, %x)", p.Kind, sink.Kind, sink.Payload)
+		}
+		if len(frame) > 0 && &sink.Payload[0] == &frame[hdrBase] {
+			t.Errorf("%s payload aliases the frame", p.Kind)
 		}
 	}
 }

@@ -19,8 +19,10 @@ type SessionConfig struct {
 	// CreditWindow, when positive, enables credit-based flow control
 	// with the given per-channel window in bytes: this end grants the
 	// peer credits against its own receive buffers, piggybacked on this
-	// end's periodic markers, exactly as Section 6.3 suggests. Sends
-	// block while the peer's grant is exhausted.
+	// end's periodic markers, exactly as Section 6.3 suggests, and
+	// returned in credit packets of their own once the application has
+	// drained half a window (at most one round of them per millisecond).
+	// Sends block while the peer's grant is exhausted.
 	CreditWindow int64
 	// MarkerInterval, when positive, cuts marker batches from a timer in
 	// addition to the round-based policy, so markers (and piggybacked
@@ -104,6 +106,10 @@ type Session struct {
 	// Membership and health state (guarded by mu).
 	n          int
 	window     int64
+	advertised []int64     // per receive channel, the cumulative grant last sent to the peer (marker or credit)
+	creditAt   time.Time   // when credit packets last went out
+	creditWake *time.Timer // sends what returnCreditLocked held back; nil until something is
+	creditHeld bool        // creditWake is armed
 	quanta     []int64
 	autoMaxBuf bool // MaxBuffered was derived; recompute it on membership changes
 	health     HealthConfig
@@ -168,14 +174,9 @@ func NewSession(channels []ChannelSender, cfg SessionConfig) (*Session, error) {
 		MaxBuffered: maxBuf,
 		// Invoked from the receive path with s.mu already held.
 		OnMarker: func(c int, m packet.MarkerBlock) {
-			if m.Credits == 0 || s.gate == nil {
-				return
+			if m.Credits != 0 && s.gate != nil {
+				s.applyGrantLocked(c, m.Credits)
 			}
-			if s.gate.ApplyGrant(c, int64(m.Credits)) != nil {
-				s.col.OnCreditRejected(c)
-				return
-			}
-			s.txCond.Broadcast()
 		},
 		// Invoked from the receive path with s.mu already held: mirror the
 		// peer's announced membership onto this end's transmit side, so
@@ -232,7 +233,14 @@ func NewSession(channels []ChannelSender, cfg SessionConfig) (*Session, error) {
 		s.gate = gate
 		s.mgr = mgr
 		scfg.Gate = gate
-		scfg.MarkerCredits = func(c int) uint64 { return uint64(mgr.GrantFor(c)) }
+		s.advertised = make([]int64, n)
+		for c := range s.advertised {
+			s.advertised[c] = cfg.CreditWindow // the peer's gate opens with one window
+		}
+		scfg.MarkerCredits = func(c int) uint64 {
+			s.advertised[c] = mgr.GrantFor(c)
+			return uint64(s.advertised[c])
+		}
 		// Feed the invariant checker the gate's live credit ledgers. The
 		// checker runs from flush paths that already hold s.mu, which is
 		// also what guards the gate, so the reads are consistent (and one
@@ -297,7 +305,8 @@ func (s *Session) markerTimer(interval time.Duration) {
 var ErrSessionClosed = errors.New("stripe: session closed")
 
 // Send stripes one packet toward the peer, blocking while flow control
-// holds the selected channel (credits arrive on the peer's markers).
+// holds the selected channel (credits arrive in the peer's credit
+// packets as its application drains, and on its markers).
 // Transport failures on one channel are retried: the failing channel's
 // error streak grows until the health monitor's threshold evicts it,
 // after which the packet goes out on a survivor. Send only returns a
@@ -314,8 +323,8 @@ func (s *Session) Send(p *Packet) error {
 
 // SendBatch stripes pkts in FIFO order toward the peer, taking the
 // session lock once for the whole batch, handing maximal same-channel
-// runs to the channels in single calls, and writing each buffering (TCP)
-// channel once per attempt — before it returns and before it waits for
+// runs to the channels in single calls, and writing each buffering (TCP
+// or UDP) channel once per attempt — before it returns and before it waits for
 // credit, so nothing sent sits in a buffer. It blocks exactly as Send
 // does — while flow control holds the selected channel, and across
 // transport-failure retries the health monitor can absorb — and returns
@@ -348,6 +357,9 @@ func (s *Session) sendBatchLocked(pkts []*packet.Packet) (int, error) {
 		}
 		n, err := s.st.SendBatch(pkts[done:])
 		done += n
+		if err == nil {
+			continue
+		}
 		if err == core.ErrGated {
 			if s.col != nil && stalled.IsZero() {
 				stalled = time.Now()
@@ -355,6 +367,8 @@ func (s *Session) sendBatchLocked(pkts []*packet.Packet) (int, error) {
 			s.txCond.Wait()
 			continue
 		}
+		// Declared past the two common outcomes: errors.As makes cse
+		// escape, and a heap word per batch is not free.
 		var cse *core.ChannelSendError
 		if errors.As(err, &cse) && s.evictThreshold() > 0 && s.st.ActiveN() > 1 {
 			// The failed send was not accounted to the scheduler, so the
@@ -365,10 +379,8 @@ func (s *Session) sendBatchLocked(pkts []*packet.Packet) (int, error) {
 			}
 			continue
 		}
-		if err != nil {
-			s.noteStall(stalled)
-			return done, err
-		}
+		s.noteStall(stalled)
+		return done, err
 	}
 	s.noteStall(stalled)
 	return done, nil
@@ -387,14 +399,15 @@ func (s *Session) noteStall(since time.Time) {
 func (s *Session) SendBytes(payload []byte) error { return s.Send(Data(payload)) }
 
 // Arrive hands the session a packet received from the peer on channel
-// c (any kind: data, markers with credits, resets).
+// c (any kind: data, markers with credits, credits, resets).
 func (s *Session) Arrive(c int, p *Packet) {
 	s.mu.Lock()
-	// Process piggybacked credit state immediately rather than when the
-	// marker is consumed in scan order: grants and reconciled positions
-	// are monotone, so reading them early is safe, and it keeps the
-	// transmit side live even when the application is slow to Recv.
-	if p.Kind == KindMarker {
+	// Process credit state immediately rather than when the marker is
+	// consumed in scan order: grants and reconciled positions are
+	// monotone, so reading them early is safe, and it keeps the transmit
+	// side live even when the application is slow to Recv.
+	switch p.Kind {
+	case KindMarker:
 		if m, err := packet.MarkerOf(p); err == nil && int(m.Channel) == c && c >= 0 && c < s.n {
 			// Reconcile before the resequencer sees the marker: right now
 			// the per-channel FIFO guarantees every data byte the peer
@@ -406,11 +419,18 @@ func (s *Session) Arrive(c int, p *Packet) {
 				s.mgr.Reconcile(c, int64(m.Sent), row.ArrivedBytes, row.BufferedBytes)
 			}
 			if s.gate != nil && m.Credits > 0 {
-				if s.gate.ApplyGrant(c, int64(m.Credits)) != nil {
-					s.col.OnCreditRejected(c)
-				} else {
-					s.txCond.Broadcast()
-				}
+				s.applyGrantLocked(c, m.Credits)
+			}
+		}
+	case KindCredit:
+		// The peer returning grant between markers (returnCreditLocked on
+		// its side). Like a marker, a credit speaks only for the channel
+		// it travels on.
+		if s.gate != nil {
+			if cb, err := packet.CreditOf(p); err == nil && int(cb.Channel) == c {
+				s.applyGrantLocked(c, cb.Grant)
+			} else {
+				s.col.OnCreditRejected(c)
 			}
 		}
 	}
@@ -419,11 +439,101 @@ func (s *Session) Arrive(c int, p *Packet) {
 	s.rxCond.Broadcast()
 }
 
+// applyGrantLocked folds a cumulative grant the peer advertised for
+// transmit channel c into the gate and wakes credit-stalled senders.
+// Grants come off the wire: one the gate refuses is counted, not
+// applied. Caller holds s.mu and has checked s.gate.
+func (s *Session) applyGrantLocked(c int, grant uint64) {
+	if s.gate.ApplyGrant(c, int64(grant)) != nil {
+		s.col.OnCreditRejected(c)
+		return
+	}
+	s.txCond.Broadcast()
+}
+
+// creditGap is the least time between two rounds of credit packets. A
+// credit costs the peer a reader wake-up, the session lock and a
+// broadcast, so like markers it goes out on a bounded cadence: at most a
+// thousand rounds a second, each carrying everything earned since the
+// last. It is also what keeps a small window's throughput a function of
+// the clock and not of how fast two schedulers can pass the grant back
+// and forth (DESIGN.md, "Credit return").
+const creditGap = time.Millisecond
+
+// returnCreditLocked runs after every delivery to the application. Once
+// some receive channel's grant has grown by half a window since the peer
+// was last told (by a marker or a credit), every channel whose grant has
+// grown at all gets a credit packet on its reverse channel, so a peer
+// that has spent its window waits for the application to drain, not for
+// this end's marker timer. Half a window keeps the sender's pipe from
+// running dry; returning all channels together keeps a round-robin
+// sender, which needs credit on each channel in turn, from stalling on
+// the one whose credit is a moment behind. creditGap bounds the traffic:
+// credit earned sooner than that after the last round is held for
+// creditWake to send, because the delivery that earned it may be the
+// last until the peer hears of it. Markers still carry the grant on the
+// timer, which is what recovers a lost credit packet. Caller holds s.mu.
+func (s *Session) returnCreditLocked() {
+	if s.mgr == nil || s.creditHeld {
+		return
+	}
+	earned := false
+	for c, told := range s.advertised {
+		if g := s.mgr.GrantFor(c); g > told && g-told >= s.window/2 {
+			earned = true
+			break
+		}
+	}
+	if !earned {
+		return
+	}
+	now := time.Now()
+	if wait := creditGap - now.Sub(s.creditAt); wait > 0 {
+		s.creditHeld = true
+		if s.creditWake == nil {
+			s.creditWake = time.AfterFunc(wait, s.sendHeldCredits)
+		} else {
+			s.creditWake.Reset(wait)
+		}
+		return
+	}
+	s.creditAt = now
+	for c, told := range s.advertised {
+		g := s.mgr.GrantFor(c)
+		if g <= told {
+			continue
+		}
+		s.advertised[c] = g
+		// Refused when reverse channel c has left the live set (the
+		// peer's account for it is closed too); a transport failure is on
+		// the channel's error streak, where the health monitor reads it.
+		// Either way the grant itself rides the next marker.
+		_ = s.st.SendCredit(c, uint64(g))
+	}
+}
+
+// sendHeldCredits is creditWake's function: the gap a credit was held
+// for has passed.
+func (s *Session) sendHeldCredits() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.creditHeld = false
+	select {
+	case <-s.closed:
+	default:
+		s.returnCreditLocked()
+	}
+}
+
 // TryRecv returns the next in-order packet without blocking.
 func (s *Session) TryRecv() (*Packet, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.rs.Next()
+	p, ok := s.rs.Next()
+	if ok {
+		s.returnCreditLocked()
+	}
+	return p, ok
 }
 
 // Recv blocks for the next in-order packet, or returns nil when the
@@ -433,6 +543,7 @@ func (s *Session) Recv() *Packet {
 	defer s.mu.Unlock()
 	for {
 		if p, ok := s.rs.Next(); ok {
+			s.returnCreditLocked()
 			return p
 		}
 		select {
@@ -461,6 +572,7 @@ func (s *Session) RecvBatch(dst []*Packet) int {
 	defer s.mu.Unlock()
 	for {
 		if n := s.rs.NextBatch(dst); n > 0 {
+			s.returnCreditLocked()
 			return n
 		}
 		select {
@@ -513,6 +625,9 @@ func (s *Session) Close() {
 	// either the sender sees the closed channel, or it is already
 	// waiting when the broadcast fires.
 	s.mu.Lock()
+	if s.creditWake != nil {
+		s.creditWake.Stop()
+	}
 	s.txCond.Broadcast()
 	s.rxCond.Broadcast()
 	s.mu.Unlock()

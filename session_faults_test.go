@@ -12,12 +12,21 @@ import (
 // collectors, so each end's counters can be inspected independently.
 func wireLossySessions(t *testing.T, nch int, loss float64, mk func(col *Collector) SessionConfig) (a, b *Session, cleanup func()) {
 	t.Helper()
+	return wireShimmedSessions(t, nch, 200*time.Microsecond, loss, mk, nil)
+}
+
+// wireShimmedSessions is wireLossySessions with the channels' one-way
+// delay given and b's transmit channels (the b -> a direction) each
+// passed through shim, when it is non-nil.
+func wireShimmedSessions(t *testing.T, nch int, delay time.Duration, loss float64, mk func(col *Collector) SessionConfig,
+	shim func(c int, tx ChannelSender) ChannelSender) (a, b *Session, cleanup func()) {
+	t.Helper()
 	mkChans := func(seedBase int64) ([]*LocalChannel, []ChannelSender) {
 		chans := make([]*LocalChannel, nch)
 		senders := make([]ChannelSender, nch)
 		for i := range chans {
 			chans[i] = NewLocalChannel(LocalChannelConfig{
-				Delay: 200 * time.Microsecond,
+				Delay: delay,
 				Loss:  loss,
 				Seed:  seedBase + int64(i),
 			})
@@ -27,6 +36,11 @@ func wireLossySessions(t *testing.T, nch int, loss float64, mk func(col *Collect
 	}
 	abChans, abSenders := mkChans(100)
 	baChans, baSenders := mkChans(200)
+	if shim != nil {
+		for c, tx := range baSenders {
+			baSenders[c] = shim(c, tx)
+		}
+	}
 
 	a, err := NewSession(abSenders, mk(NewCollector(nch)))
 	if err != nil {

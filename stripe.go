@@ -254,7 +254,8 @@ func (s *Sender) SendBytes(payload []byte) error { return s.Send(Data(payload)) 
 
 // SendBatch stripes pkts in FIFO order, taking the sender lock once,
 // handing maximal same-channel runs to the channels in single calls, and
-// writing each buffering (TCP) channel once as it returns. It returns the number of packets sent; n < len(pkts) only alongside a
+// writing each buffering (TCP or UDP) channel once as it returns. It
+// returns the number of packets sent; n < len(pkts) only alongside a
 // non-nil error, and pkts[n:] were not sent.
 func (s *Sender) SendBatch(pkts []*Packet) (int, error) {
 	s.mu.Lock()
