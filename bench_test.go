@@ -7,7 +7,8 @@ package stripe_test
 //
 // The micro-benchmarks at the bottom quantify the paper's "only a few
 // extra instructions" claim for SRR and the end-to-end software cost of
-// the protocol.
+// the protocol. They are for a developer's `go test -bench`; the
+// committed performance record comes from `go run ./bench`.
 //
 // This file lives in the external test package: the harness package
 // imports stripe (its flap experiment drives the public session API),

@@ -854,27 +854,8 @@ func (s *Session) scoreTick() {
 		return
 	}
 	s.lastFoldAt = snap.AtNs
-	streak := s.health.ScoreStreak
-	if streak < 1 {
-		streak = 2
-	}
 	for _, h := range snap.Health {
-		c := h.Channel
-		if c < 0 || c >= s.n {
-			continue
-		}
-		if s.st.Member(c) != core.MemberActive {
-			s.lowScore[c] = 0
-			continue
-		}
-		if h.Score >= threshold {
-			s.lowScore[c] = 0
-			continue
-		}
-		if s.lowScore[c]++; s.lowScore[c] >= streak && s.st.ActiveN() > 1 {
-			s.evictLocked(c, int64(h.Score))
-			s.lowScore[c] = 0
-		}
+		s.scoreStep(s.lowScore, h.Channel, h.Score, threshold)
 	}
 }
 
@@ -897,29 +878,38 @@ func (s *Session) peerTick() {
 		return
 	}
 	s.lastPeerSeq = snap.Seq
-	streak := s.health.ScoreStreak
-	if streak < 1 {
-		streak = 2
-	}
 	for i := range snap.Channels {
 		pc := &snap.Channels[i]
-		c := pc.Channel
-		if c < 0 || c >= s.n {
-			continue
-		}
-		if s.st.Member(c) != core.MemberActive {
-			s.peerLow[c] = 0
-			continue
-		}
-		if pc.Score >= threshold {
-			s.peerLow[c] = 0
-			continue
-		}
-		if s.peerLow[c]++; s.peerLow[c] >= streak && s.st.ActiveN() > 1 {
-			s.evictLocked(c, int64(pc.Score))
-			s.peerLow[c] = 0
-		}
+		s.scoreStep(s.peerLow, pc.Channel, pc.Score, threshold)
 	}
+}
+
+// scoreStep folds one (channel, score) observation into low, the
+// calling rule's streak counters: an inactive channel or a score at or
+// above threshold resets the streak; otherwise it grows, and at
+// scoreStreak the channel is evicted with the score as the eviction
+// value, unless it is the last active one. Caller holds s.mu.
+func (s *Session) scoreStep(low []int, c, score, threshold int) {
+	if c < 0 || c >= s.n {
+		return
+	}
+	if s.st.Member(c) != core.MemberActive || score >= threshold {
+		low[c] = 0
+		return
+	}
+	if low[c]++; low[c] >= s.scoreStreak() && s.st.ActiveN() > 1 {
+		s.evictLocked(c, int64(score))
+		low[c] = 0
+	}
+}
+
+// scoreStreak returns the effective consecutive-observation count both
+// score rules evict at.
+func (s *Session) scoreStreak() int {
+	if s.health.ScoreStreak < 1 {
+		return 2
+	}
+	return s.health.ScoreStreak
 }
 
 // healthTick runs the periodic health checks: error-streak,
