@@ -10,15 +10,16 @@
 //	stripedemo -trace out.json    # write packet lifecycles as chrome://tracing JSON
 //
 // With -metrics the demo serves the runtime observability endpoint
-// (Prometheus text at /metrics, expvar at /debug/vars, pprof under
-// /debug/pprof/) while it runs, prints recent protocol events, and
+// (Prometheus text at /metrics, health JSON at /debug/stripe/health,
+// pprof under /debug/pprof/) while it runs, prints recent protocol events, and
 // fetches its own /metrics at the end so the counters are visible even
 // without an external curl.
 //
 // With -trace every packet's lifecycle (stripe, UDP send, UDP receive,
 // resequence, deliver) is stamped and written to the named file; open it
-// at chrome://tracing or https://ui.perfetto.dev. Tracing enables AddSeq
-// so both ends key a packet by the same wire-carried sequence number.
+// at chrome://tracing or https://ui.perfetto.dev. A tracer implies
+// AddSeq, so both ends key a packet by the same wire-carried sequence
+// number.
 // Either flag also arms a flight recorder that dumps the recent event
 // history when an anomaly (credit stall, resync storm, overflow,
 // invariant violation) trips mid-run.
@@ -85,13 +86,10 @@ func main() {
 		cfg.Collector = col
 	}
 	if *traceOut != "" {
-		// Stamp every packet and carry sequence numbers on the wire so
-		// the UDP receive side keys lifecycles the same way the sender
-		// does (without AddSeq the striper's in-process ID never crosses
-		// the socket and only transmit-side stages would be traced).
+		// Stamp every packet. Attached before NewSender, the tracer makes
+		// it carry sequence numbers on the wire.
 		tracer = stripe.NewTracer(stripe.TracerConfig{Sample: 1})
 		cfg.Collector.SetTracer(tracer)
-		cfg.AddSeq = true
 	}
 	if *metrics != "" {
 		var err error

@@ -122,14 +122,13 @@
 // band and credit conservation at every flush. Serve exposes everything
 // — every ledger field, every drop by name and by channel
 // (stripe_channel_drops_total{reason=...}) — as Prometheus text on
-// /metrics, expvar JSON on /debug/vars, and the standard pprof
-// profiles on /debug/pprof/. Read it in-process with Snapshot (on the
+// /metrics, the same ledger rows as JSON on /debug/stripe/health, and the
+// standard pprof profiles on /debug/pprof/. Read it in-process with Snapshot (on the
 // Collector or on the Sender/Receiver/Session it is attached to), or
 // subscribe to discrete protocol transitions (resync, skip, reset,
 // self-heal, fast-forward, credit exhaustion, marker-proven loss,
 // resequencer overflow, membership changes) with Collector.AddSink —
-// NewRingSink keeps the last n events, NewWriterSink logs one line
-// each. All of it is nil-safe: with no Collector configured the hot
+// NewRingSink keeps the last n events. All of it is nil-safe: with no Collector configured the hot
 // path pays a single pointer test.
 //
 // For rates and per-channel health rather than cumulative totals,

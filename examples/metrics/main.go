@@ -8,7 +8,7 @@
 // While it runs:
 //
 //	curl localhost:PORT/metrics          # Prometheus text format
-//	curl localhost:PORT/debug/vars       # expvar JSON
+//	curl localhost:PORT/debug/stripe/health   # the same ledger rows as JSON
 //	go tool pprof localhost:PORT/debug/pprof/profile?seconds=5
 //
 // The interesting metric is the live fairness gauge: the paper's
@@ -117,7 +117,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	fmt.Printf("serving http://%s/metrics, /debug/vars, /debug/pprof/ for %v\n", srv.Addr(), *dur)
+	fmt.Printf("serving http://%s/metrics, /debug/stripe/health, /debug/pprof/ for %v\n", srv.Addr(), *dur)
 
 	// Two directions of lossy in-process channels. Only the forward
 	// direction (alice -> bob) is instrumented.

@@ -125,7 +125,8 @@ func TestCallGraphReachable(t *testing.T) {
 }
 
 // TestLockSummaryCrossPackage pins the fixed-point summary merge:
-// Snapshot locks Session.mu directly and reaches Checker.mu only
+// Snapshot locks the session lock (declared by the embedded receive
+// half, so named recvHalf.mu) directly and reaches Checker.mu only
 // through the SyncObs -> RunChecks -> (*Checker).run chain, two
 // packages away. Both must appear in its transitive summary.
 func TestLockSummaryCrossPackage(t *testing.T) {
@@ -142,8 +143,8 @@ func TestLockSummaryCrossPackage(t *testing.T) {
 	for v, acq := range sum.Acquires {
 		byName[li.LockName(v)] = acq
 	}
-	if _, ok := byName["Session.mu"]; !ok {
-		t.Errorf("summary of Snapshot misses Session.mu (direct acquisition); acquires: %v", names(byName))
+	if _, ok := byName["recvHalf.mu"]; !ok {
+		t.Errorf("summary of Snapshot misses recvHalf.mu (direct acquisition); acquires: %v", names(byName))
 	}
 	acq, ok := byName["Checker.mu"]
 	if !ok {
@@ -163,17 +164,20 @@ func names(m map[string]LockAcq) []string {
 }
 
 // TestCondOwner pins the sync.NewCond(&x) association the wait-holding
-// rule depends on: Session.txCond guards Session.mu.
+// rule depends on, and the fact the session's design rests on: the
+// receive half's rxCond and the session's txCond guard one lock, the
+// half's mu.
 func TestCondOwner(t *testing.T) {
 	prog, mod := sharedProgram(t)
 	li := ComputeLockInfo(prog, NewCallGraph(prog, mod))
 
-	cond := lookupField(t, mod, "stripe", "Session.txCond")
-	mu := lookupField(t, mod, "stripe", "Session.mu")
-	if got := li.CondLock[cond]; got != mu {
-		t.Errorf("CondLock[Session.txCond] = %v, want Session.mu", got)
+	mu := lookupField(t, mod, "stripe", "recvHalf.mu")
+	for _, name := range []string{"Session.txCond", "recvHalf.rxCond"} {
+		if got := li.CondLock[lookupField(t, mod, "stripe", name)]; got != mu {
+			t.Errorf("CondLock[%s] = %v, want recvHalf.mu", name, got)
+		}
 	}
-	if name := li.LockName(mu); name != "Session.mu" {
-		t.Errorf("LockName(Session.mu) = %q", name)
+	if name := li.LockName(mu); name != "recvHalf.mu" {
+		t.Errorf("LockName(recvHalf.mu) = %q", name)
 	}
 }

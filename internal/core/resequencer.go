@@ -631,15 +631,16 @@ func (r *Resequencer) WaitingOn() int {
 }
 
 // Next returns the next packet in delivery order, or false if the
-// receiver must wait for more arrivals.
+// receiver must wait for more arrivals. It is NextBatch of one: a
+// one-slot batch is full before the run fast path (drainRun) can take
+// anything, so Next is the pure scan, which is what
+// TestNextBatchEquivalentToNext compares the fast path against.
 //
 //stripe:hotpath
 func (r *Resequencer) Next() (*packet.Packet, bool) {
-	p, ok := r.next()
-	if r.obsLag >= obsFlushEvery || (!ok && r.obsLag > 0) {
-		r.SyncObs()
-	}
-	return p, ok
+	var one [1]*packet.Packet
+	n := r.NextBatch(one[:])
+	return one[0], n > 0
 }
 
 // NextBatch fills dst with the next packets in delivery order and

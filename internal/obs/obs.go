@@ -22,8 +22,8 @@
 // Protocol transitions — marker resync, skip-rule activation, reset,
 // self-heal, fast-forward, credit exhaustion, membership changes —
 // fire events through Emit to any attached Sink (see sink.go).
-// Exposition to Prometheus text format and expvar lives in
-// prometheus.go; the HTTP endpoint that serves both (plus
+// Exposition to Prometheus text format lives in prometheus.go; the
+// HTTP endpoint that serves it (plus the health report and
 // net/http/pprof) is stripe.Serve.
 //
 // Naming note: package trace (internal/trace) generates *workloads*
@@ -319,8 +319,8 @@ type ChannelSnapshot struct {
 
 // Snapshot is a point-in-time copy of every metric the collector holds,
 // plus the derived fairness gauge. It is what Session.Snapshot,
-// Sender.Snapshot and Receiver.Snapshot return, what expvar publishes
-// as JSON, and the source of the Prometheus exposition.
+// Sender.Snapshot and Receiver.Snapshot return, and the source of the
+// Prometheus exposition.
 type Snapshot struct {
 	Name     string `json:",omitempty"`
 	Channels []ChannelSnapshot

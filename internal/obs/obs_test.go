@@ -188,21 +188,6 @@ func TestEventsAndRingSink(t *testing.T) {
 	}
 }
 
-func TestWriterSink(t *testing.T) {
-	c := NewCollector(1)
-	var sb strings.Builder
-	var mu sync.Mutex
-	c.AddSink(SinkFunc(func(e Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		NewWriterSink(&sb).Event(e)
-	}))
-	c.Emit(KindResync, 0, 7, 42)
-	if got := sb.String(); !strings.Contains(got, "resync channel=0 round=7 value=42") {
-		t.Fatalf("writer sink wrote %q", got)
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
 	for _, v := range []int64{0, 1, 3, 900, 5000} {

@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
 )
 
 // WritePrometheus renders the collectors in Prometheus text exposition
@@ -498,86 +495,3 @@ func memberState(draining, removed bool) int64 {
 // WritePrometheus renders this collector alone; see the package-level
 // function for multi-collector endpoints.
 func (c *Collector) WritePrometheus(w io.Writer) { WritePrometheus(w, c) }
-
-// String renders the snapshot as JSON; it makes the collector an
-// expvar.Var.
-func (c *Collector) String() string {
-	b, err := json.Marshal(c.Snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
-}
-
-var (
-	expvarMu   sync.Mutex
-	expvarSets = map[string]*expvarSet{}
-)
-
-// expvarSet is the expvar.Var registered for one "stripe[.<name>]"
-// key. expvar.Publish panics on duplicate registration and offers no
-// replacement, so the set is registered once and every distinct
-// collector sharing the name renders through it: one collector as its
-// snapshot object, several as a JSON array. Without this, a second
-// session reusing a name would silently vanish from /debug/vars.
-type expvarSet struct {
-	mu   sync.Mutex
-	cols []*Collector
-}
-
-func (s *expvarSet) add(c *Collector) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, have := range s.cols {
-		if have == c {
-			return
-		}
-	}
-	s.cols = append(s.cols, c)
-}
-
-// String renders the set as JSON, making it an expvar.Var.
-func (s *expvarSet) String() string {
-	s.mu.Lock()
-	cols := make([]*Collector, len(s.cols))
-	copy(cols, s.cols)
-	s.mu.Unlock()
-	if len(cols) == 1 {
-		return cols[0].String()
-	}
-	snaps := make([]Snapshot, len(cols))
-	for i, c := range cols {
-		snaps[i] = c.Snapshot()
-	}
-	b, err := json.Marshal(snaps)
-	if err != nil {
-		return "[]"
-	}
-	return string(b)
-}
-
-// PublishExpvar registers the collector under "stripe.<name>" (or
-// "stripe" when unnamed) in the process-wide expvar registry, making it
-// visible at /debug/vars. Distinct collectors sharing one name are
-// published together as a JSON array; re-publishing the same collector
-// is a no-op, so it is safe to call repeatedly.
-func (c *Collector) PublishExpvar() {
-	if c == nil {
-		return
-	}
-	name := "stripe"
-	if c.name != "" {
-		name += "." + c.name
-	}
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	set := expvarSets[name]
-	if set == nil {
-		set = &expvarSet{}
-		expvarSets[name] = set
-		if expvar.Get(name) == nil {
-			expvar.Publish(name, set)
-		}
-	}
-	set.add(c)
-}

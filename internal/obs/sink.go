@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -162,22 +161,4 @@ func (r *RingSink) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
-}
-
-// WriterSink appends one line per event to an io.Writer — a debug
-// trace. Write errors are dropped (tracing must never fail the
-// protocol).
-type WriterSink struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewWriterSink returns a sink writing to w.
-func NewWriterSink(w io.Writer) *WriterSink { return &WriterSink{w: w} }
-
-// Event implements Sink.
-func (s *WriterSink) Event(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fmt.Fprintf(s.w, "obs %s\n", e)
 }

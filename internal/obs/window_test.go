@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"strings"
 	"testing"
 	"time"
@@ -222,51 +220,6 @@ func hasReason(h HealthScore, code string) bool {
 		}
 	}
 	return false
-}
-
-// TestPublishExpvarDedupesRepeatedNames is the regression for the
-// expvar collision: two distinct collectors sharing one name must both
-// stay visible at /debug/vars (as a JSON array) instead of the second
-// silently vanishing, and republishing must not panic or duplicate.
-func TestPublishExpvarDedupesRepeatedNames(t *testing.T) {
-	c1 := NewNamedCollector("expvar-dup-regress", 2)
-	c2 := NewNamedCollector("expvar-dup-regress", 3)
-	c1.PublishExpvar()
-	c1.PublishExpvar() // idempotent republish of the same collector
-	c2.PublishExpvar()
-	c2.PublishExpvar()
-
-	v := expvar.Get("stripe.expvar-dup-regress")
-	if v == nil {
-		t.Fatal("nothing published under stripe.expvar-dup-regress")
-	}
-	var snaps []Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &snaps); err != nil {
-		t.Fatalf("expected a JSON array of snapshots, got %q: %v",
-			truncate(v.String(), 120), err)
-	}
-	if len(snaps) != 2 {
-		t.Fatalf("published %d snapshots, want both collectors", len(snaps))
-	}
-	sizes := map[int]bool{len(snaps[0].Channels): true, len(snaps[1].Channels): true}
-	if !sizes[2] || !sizes[3] {
-		t.Fatalf("expected the 2- and 3-channel collectors, got sizes %v", sizes)
-	}
-
-	// A single collector under its own name still renders as an object.
-	c3 := NewNamedCollector("expvar-solo-regress", 1)
-	c3.PublishExpvar()
-	var single Snapshot
-	if err := json.Unmarshal([]byte(expvar.Get("stripe.expvar-solo-regress").String()), &single); err != nil {
-		t.Fatalf("single-collector publication is not an object: %v", err)
-	}
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
 }
 
 // TestWindowFoldOnRunChecks verifies the engine-flush integration: an

@@ -195,6 +195,67 @@ func TestSessionLifecycleTracing(t *testing.T) {
 // hop) and cfg.AddSeq is never set; completed lifecycles prove the
 // sequence identity made the trip.
 func TestTracedRemotePairDefaultsAddSeq(t *testing.T) {
+	t.Run("Session", tracedSessionPair)
+	t.Run("SenderReceiver", tracedSenderReceiverPair)
+}
+
+// tracedSenderReceiverPair is the same rule for the one-way halves: a
+// traced Sender over TCP channels with AddSeq left false must complete
+// every lifecycle at the Receiver. The rule used to live in NewSession
+// only, and NewSender lost all but a couple of lifecycles.
+func tracedSenderReceiverPair(t *testing.T) {
+	const nch, n = 2, 200
+	col := NewNamedCollector("rmsr", nch)
+	tracer := NewTracer(TracerConfig{Sample: 1})
+	col.SetTracer(tracer)
+	cfg := Config{Quanta: UniformQuanta(nch, 1500), Collector: col}
+
+	senders := make([]ChannelSender, nch)
+	rx, err := NewReceiver(nch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range senders {
+		s, r, err := NewTCPChannelPair()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		defer r.Close()
+		senders[i] = s
+		go func(i int, r *TCPChannel) {
+			for {
+				p, err := r.ReadPacket(0)
+				if err != nil {
+					return // closed by the deferred Close above
+				}
+				rx.Arrive(i, p)
+			}
+		}(i, r)
+	}
+	tx, err := NewSender(senders, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := tx.SendBytes(make([]byte, 400)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx.EmitMarkers()
+	// A lost packet fails the count below instead of hanging the test.
+	defer time.AfterFunc(10*time.Second, rx.Close).Stop()
+	for got := 0; got < n; got++ {
+		if rx.Recv() == nil {
+			t.Fatalf("receiver closed after %d of %d", got, n)
+		}
+	}
+	if ts := tracer.Snapshot(); ts.Tracked != n {
+		t.Fatalf("completed lifecycles: %d of %d", ts.Tracked, n)
+	}
+}
+
+func tracedSessionPair(t *testing.T) {
 	const nch = 2
 	colA := NewNamedCollector("rma", nch)
 	colB := NewNamedCollector("rmb", nch)

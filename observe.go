@@ -143,10 +143,6 @@ type RingSink = obs.RingSink
 // when n is not positive).
 func NewRingSink(n int) *RingSink { return obs.NewRingSink(n) }
 
-// NewWriterSink returns a sink that appends one line per protocol
-// event to w.
-func NewWriterSink(w io.Writer) *obs.WriterSink { return obs.NewWriterSink(w) }
-
 // Windows is the windowed-telemetry rollup engine: it folds the
 // published ledgers' cumulative counters into ring-buffered sliding windows
 // (default 1s/10s/60s) of per-channel goodput, loss fraction, marker

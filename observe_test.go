@@ -65,7 +65,7 @@ func TestFairnessGaugeUnderFigure15Workload(t *testing.T) {
 }
 
 // TestServeEndpoints starts the observability endpoint and checks all
-// three surfaces respond: Prometheus text, expvar JSON, and pprof.
+// three surfaces respond: Prometheus text, health JSON, and pprof.
 func TestServeEndpoints(t *testing.T) {
 	if _, err := Serve("127.0.0.1:0"); err == nil {
 		t.Fatal("Serve accepted zero collectors")
@@ -188,14 +188,6 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if h := hr.Sessions[0]; h.Windows == nil || len(h.Windows.Health) != nch {
 		t.Fatalf("health report missing windowed rollup: %+v", h.Windows)
-	}
-
-	code, body = get("/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", code)
-	}
-	if !strings.Contains(body, "stripe.servetest") {
-		t.Fatalf("/debug/vars missing published collector:\n%s", body)
 	}
 
 	if code, _ = get("/debug/pprof/"); code != http.StatusOK {

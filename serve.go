@@ -3,7 +3,6 @@ package stripe
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -38,7 +37,6 @@ type Server struct {
 //	/metrics              Prometheus text exposition (all stripe_* metrics,
 //	                      including the windowed stripe_*_rate and
 //	                      stripe_channel_health gauges)
-//	/debug/vars           expvar, with each collector published as JSON
 //	/debug/pprof/         the standard net/http/pprof profiles
 //	/debug/stripe/trace   chrome://tracing JSON of recent packet
 //	                      lifecycles (collectors with a Tracer attached)
@@ -61,9 +59,6 @@ func Serve(addr string, cols ...*Collector) (*Server, error) {
 	if len(live) == 0 {
 		return nil, errors.New("stripe: Serve needs at least one non-nil Collector")
 	}
-	for _, c := range live {
-		c.PublishExpvar()
-	}
 
 	s := &Server{traceSeen: map[*Tracer]bool{}, done: make(chan struct{})}
 	mux := http.NewServeMux()
@@ -85,7 +80,6 @@ func Serve(addr string, cols ...*Collector) (*Server, error) {
 			Sessions []obs.HealthReport
 		}{reports})
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

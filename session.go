@@ -43,18 +43,10 @@ type SessionConfig struct {
 // and the survivors carry the stream on. The zero value enables
 // send-error eviction with the defaults below.
 type HealthConfig struct {
-	// Disable turns the health monitor off entirely.
-	Disable bool
 	// EvictAfter is the consecutive transport-error streak on a channel
 	// (data, marker, or announcement sends) that triggers eviction.
 	// Default 8; negative disables error-based eviction.
 	EvictAfter int64
-	// MarkerSilence, when positive, evicts a channel that has been
-	// marker-silent for this long after having delivered at least one
-	// marker. Markers flow at a steady cadence on healthy channels, so
-	// prolonged silence means the receive direction is dead even when
-	// sends still succeed. Zero disables silence-based eviction.
-	MarkerSilence time.Duration
 	// ReinstateAfter is the consecutive successful probes (one per
 	// marker-timer tick) after which an evicted channel is re-admitted.
 	// Default 3; negative disables automatic reinstatement.
@@ -85,23 +77,44 @@ type HealthConfig struct {
 	PeerScoreEvictBelow int
 }
 
+// resolved returns h with its defaults applied, once, so the session
+// reads plain numbers afterwards: EvictAfter and ReinstateAfter zero
+// mean the rule is off, and ScoreStreak is at least 1.
+func (h HealthConfig) resolved() HealthConfig {
+	switch {
+	case h.EvictAfter == 0:
+		h.EvictAfter = 8
+	case h.EvictAfter < 0:
+		h.EvictAfter = 0
+	}
+	switch {
+	case h.ReinstateAfter == 0:
+		h.ReinstateAfter = 3
+	case h.ReinstateAfter < 0:
+		h.ReinstateAfter = 0
+	}
+	if h.ScoreStreak < 1 {
+		h.ScoreStreak = 2
+	}
+	return h
+}
+
 // Session is one end of a duplex striped connection: a Sender for this
 // end's data and a Receiver for the peer's, with markers carrying
 // credits between them. Both directions must use the same number of
 // channels. Safe for concurrent use.
 type Session struct {
-	// One mutex guards both directions: marker processing on the
-	// receive path applies credits to the transmit gate, and marker
-	// emission on the transmit path reads grants from the receive
-	// counters, so split locks would deadlock.
-	mu     sync.Mutex
-	txCond *sync.Cond
-	rxCond *sync.Cond
+	// The receive half, and with it the session's one lock: mu, rxCond,
+	// rs, col and the close signal are its fields. The transmit side is
+	// guarded by the same mutex because the directions are coupled —
+	// marker processing on the receive path applies credits to the
+	// transmit gate, and marker emission on the transmit path reads
+	// grants from the receive counters — so split locks would deadlock.
+	recvHalf
+	txCond *sync.Cond // on recvHalf.mu: credit-stalled senders
 	st     *core.Striper
 	gate   *flowcontrol.Gate
-	rs     *core.Resequencer
 	mgr    *flowcontrol.Manager
-	col    *Collector
 
 	// Membership and health state (guarded by mu).
 	n          int
@@ -111,14 +124,13 @@ type Session struct {
 	creditWake *time.Timer // sends what returnCreditLocked held back; nil until something is
 	creditHeld bool        // creditWake is armed
 	quanta     []int64
-	autoMaxBuf bool // MaxBuffered was derived; recompute it on membership changes
-	health     HealthConfig
-	evicted    []bool  // health-evicted, candidates for automatic reinstatement
-	probeOK    []int   // consecutive successful probes per evicted channel
-	admittedAt []int64 // obs.Now() of each channel's last (re)admission; silence detection ignores older markers
-	drainTicks []int   // marker batches each receive slot has sat draining and empty
-	lowScore   []int   // consecutive below-threshold health-score windows
-	lastFoldAt int64   // AtNs of the newest rollup the score check consumed
+	autoMaxBuf bool         // MaxBuffered was derived; recompute it on membership changes
+	health     HealthConfig // resolved: defaults applied, 0 = rule off
+	evicted    []bool       // health-evicted, candidates for automatic reinstatement
+	probeOK    []int        // consecutive successful probes per evicted channel
+	drainTicks []int        // marker batches each receive slot has sat draining and empty
+	lowScore   []int        // consecutive below-threshold health-score windows
+	lastFoldAt int64        // AtNs of the newest rollup the score check consumed
 
 	// Peer telemetry plane (guarded by mu where noted; the PeerView has
 	// its own internal synchronization).
@@ -129,104 +141,57 @@ type Session struct {
 	// one is Send's batch of one (guarded by mu), so the single-packet
 	// path rides sendBatchLocked without allocating a slice per call.
 	one [1]*packet.Packet
-
-	closed chan struct{}
-	once   sync.Once
 }
 
 // NewSession builds one end over this end's transmit channels. Feed
 // packets received from the peer (on all kinds) to Arrive.
 func NewSession(channels []ChannelSender, cfg SessionConfig) (*Session, error) {
 	n := len(channels)
-	if len(cfg.Quanta) != n {
-		return nil, errors.New("stripe: Quanta must have one entry per channel")
-	}
-	s := &Session{closed: make(chan struct{}), col: cfg.Collector}
-	s.txCond = sync.NewCond(&s.mu)
-	s.rxCond = sync.NewCond(&s.mu)
-	s.n = n
-	s.window = cfg.CreditWindow
-	s.quanta = append([]int64(nil), cfg.Quanta...)
-	s.health = cfg.Health
-	s.evicted = make([]bool, n)
-	s.probeOK = make([]int, n)
-	s.admittedAt = make([]int64, n)
-	s.drainTicks = make([]int, n)
-	s.lowScore = make([]int, n)
-	s.peerLow = make([]int, n)
-	s.peer = obs.NewPeerView(n)
-	s.autoMaxBuf = cfg.MaxBuffered == 0 && cfg.CreditWindow > 0
-
+	s := &Session{}
 	// Receive side first: the credit manager reads its drain counters.
-	maxBuf := cfg.MaxBuffered
-	switch {
-	case maxBuf < 0: // explicitly unbounded
-		maxBuf = 0
-	case maxBuf == 0 && cfg.CreditWindow > 0:
-		// Flow control bounds legitimate occupancy, so default to the
-		// cap it implies instead of unbounded memory.
-		maxBuf = DefaultMaxBuffered(n, cfg.CreditWindow, cfg.Quanta)
-	}
-	rcfg := core.ResequencerConfig{
-		Mode:        cfg.Mode,
-		N:           n,
-		Obs:         cfg.Collector,
-		MaxBuffered: maxBuf,
-		// Invoked from the receive path with s.mu already held.
+	// Every hook is invoked from the receive path with s.mu already held.
+	err := s.init(n, cfg.Config, core.ResequencerConfig{
 		OnMarker: func(c int, m packet.MarkerBlock) {
 			if m.Credits != 0 && s.gate != nil {
 				s.applyGrantLocked(c, m.Credits)
 			}
 		},
-		// Invoked from the receive path with s.mu already held: mirror the
-		// peer's announced membership onto this end's transmit side, so
-		// either end removing a channel retires the full duplex link.
+		// Mirror the peer's announced membership onto this end's transmit
+		// side, so either end removing a channel retires the full duplex
+		// link.
 		OnMembership: func(c int, joined bool) { s.onPeerMembership(c, joined) },
-		// Invoked from the receive path with s.mu already held: fold the
-		// peer's reported view of this end's transmit channels.
+		// Fold the peer's reported view of this end's transmit channels.
 		OnTelemetry: func(t packet.TelemetryBlock) {
 			s.peer.Apply(t, time.Now().UnixNano())
 		},
-	}
-	if cfg.Mode == ModeLogical {
-		sc, err := cfg.sched()
-		if err != nil {
-			return nil, err
-		}
-		rcfg.Sched = sc
-	}
-	rs, err := core.NewResequencer(rcfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.rs = rs
+	s.txCond = sync.NewCond(&s.mu)
+	s.n = n
+	s.window = cfg.CreditWindow
+	s.quanta = append([]int64(nil), cfg.Quanta...)
+	s.health = cfg.Health.resolved()
+	s.evicted = make([]bool, n)
+	s.probeOK = make([]int, n)
+	s.drainTicks = make([]int, n)
+	s.lowScore = make([]int, n)
+	s.peerLow = make([]int, n)
+	s.peer = obs.NewPeerView(n)
+	// Flow control bounds legitimate occupancy, so an unset cap defaults
+	// to the one it implies (recomputeMaxBufLocked) instead of unbounded
+	// memory.
+	s.autoMaxBuf = cfg.MaxBuffered == 0 && cfg.CreditWindow > 0
 
-	// A lifecycle tracer keys packets by the sequence identity they
-	// carry; without AddSeq that identity is in-process only and never
-	// survives an encoded channel, so every remote lifecycle would be
-	// torn. Configuring a tracer therefore implies explicit sequence
-	// numbers.
-	addSeq := cfg.AddSeq
-	if !addSeq && cfg.Collector.Tracer() != nil {
-		addSeq = true
-	}
-	scfg := core.StriperConfig{
-		Channels: channels,
-		Markers:  cfg.markers(),
-		AddSeq:   addSeq,
-		Obs:      cfg.Collector,
-	}
-	scfg.Sched, err = cfg.sched()
-	if err != nil {
-		return nil, err
-	}
+	var scfg core.StriperConfig
 	if cfg.CreditWindow > 0 {
 		gate, err := flowcontrol.NewGate(n, cfg.CreditWindow)
 		if err != nil {
 			return nil, err
 		}
 		// Invoked from the transmit path with s.mu already held.
-		mgr, err := flowcontrol.NewManager(n, cfg.CreditWindow, rs.ReleasedBytesOn)
+		mgr, err := flowcontrol.NewManager(n, cfg.CreditWindow, s.rs.ReleasedBytesOn)
 		if err != nil {
 			return nil, err
 		}
@@ -260,11 +225,10 @@ func NewSession(channels []ChannelSender, cfg SessionConfig) (*Session, error) {
 			return accts
 		})
 	}
-	st, err := core.NewStriper(scfg)
-	if err != nil {
+	if s.st, err = cfg.newStriper(channels, scfg); err != nil {
 		return nil, err
 	}
-	s.st = st
+	s.recomputeMaxBufLocked()
 	// Expose the peer view on the collector, so Snapshot, the health
 	// endpoint, and the Prometheus export all carry the peer section.
 	cfg.Collector.SetPeerView(s.peer)
@@ -370,11 +334,11 @@ func (s *Session) sendBatchLocked(pkts []*packet.Packet) (int, error) {
 		// Declared past the two common outcomes: errors.As makes cse
 		// escape, and a heap word per batch is not free.
 		var cse *core.ChannelSendError
-		if errors.As(err, &cse) && s.evictThreshold() > 0 && s.st.ActiveN() > 1 {
+		if errors.As(err, &cse) && s.health.EvictAfter > 0 && s.st.ActiveN() > 1 {
 			// The failed send was not accounted to the scheduler, so the
 			// retry targets the same channel until its streak trips the
 			// eviction threshold; after eviction it goes to a survivor.
-			if s.st.ErrStreak(cse.Channel) >= s.evictThreshold() {
+			if s.st.ErrStreak(cse.Channel) >= s.health.EvictAfter {
 				s.evictLocked(cse.Channel, s.st.ErrStreak(cse.Channel))
 			}
 			continue
@@ -525,34 +489,31 @@ func (s *Session) sendHeldCredits() {
 	}
 }
 
-// TryRecv returns the next in-order packet without blocking.
-func (s *Session) TryRecv() (*Packet, bool) {
+// recv is the session's receive call: the half's loop under the session
+// lock, then credit back to the peer for what the application just took.
+func (s *Session) recv(dst []*Packet, block bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.rs.Next()
-	if ok {
+	n := s.recvLocked(dst, block)
+	if n > 0 {
 		s.returnCreditLocked()
 	}
-	return p, ok
+	return n
+}
+
+// TryRecv returns the next in-order packet without blocking.
+func (s *Session) TryRecv() (*Packet, bool) {
+	var one [1]*Packet
+	n := s.recv(one[:], false)
+	return one[0], n > 0
 }
 
 // Recv blocks for the next in-order packet, or returns nil when the
 // session is closed.
 func (s *Session) Recv() *Packet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if p, ok := s.rs.Next(); ok {
-			s.returnCreditLocked()
-			return p
-		}
-		select {
-		case <-s.closed:
-			return nil
-		default:
-		}
-		s.rxCond.Wait()
-	}
+	var one [1]*Packet
+	s.recv(one[:], true)
+	return one[0]
 }
 
 // RecvBatch fills dst with as many consecutive in-order packets as are
@@ -564,25 +525,7 @@ func (s *Session) Recv() *Packet {
 // receive path draws from the packet pool) may be handed back with
 // Packet.Release once their payloads are consumed, which is what keeps
 // the steady-state receive path allocation-free.
-func (s *Session) RecvBatch(dst []*Packet) int {
-	if len(dst) == 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if n := s.rs.NextBatch(dst); n > 0 {
-			s.returnCreditLocked()
-			return n
-		}
-		select {
-		case <-s.closed:
-			return 0
-		default:
-		}
-		s.rxCond.Wait()
-	}
-}
+func (s *Session) RecvBatch(dst []*Packet) int { return s.recv(dst, true) }
 
 // EmitMarkers cuts a marker batch (with piggybacked credits) now.
 func (s *Session) EmitMarkers() {
@@ -616,14 +559,11 @@ func (s *Session) emitMarkersLocked() {
 
 // Close stops the marker timer and unblocks Send and Recv.
 func (s *Session) Close() {
-	s.once.Do(func() { close(s.closed) })
-	// Broadcast under the session lock. A credit-stalled sender holds
-	// s.mu continuously from its closed-channel check to txCond.Wait;
-	// an unlocked broadcast could fire in that window and wake nobody,
-	// leaving the sender parked forever (no credits are coming after
-	// Close). Taking the lock serializes with that critical section:
-	// either the sender sees the closed channel, or it is already
-	// waiting when the broadcast fires.
+	s.closeRecv()
+	// Broadcast under the session lock, for the reason closeRecv gives:
+	// a credit-stalled sender likewise holds s.mu from its check of the
+	// close signal to txCond.Wait, and no credit is coming after Close to
+	// wake one an unlocked broadcast missed.
 	s.mu.Lock()
 	if s.creditWake != nil {
 		s.creditWake.Stop()
@@ -767,7 +707,6 @@ func (s *Session) admitTxLocked(c int, tx ChannelSender) error {
 	}
 	s.evicted[c] = false
 	s.probeOK[c] = 0
-	s.admittedAt[c] = obs.Now() // silence detection restarts at the first marker
 	s.col.Emit(obs.KindMemberJoin, c, join, 0)
 	s.recomputeMaxBufLocked()
 	s.txCond.Broadcast()
@@ -804,38 +743,6 @@ func (s *Session) evictLocked(c int, value int64) {
 	s.evicted[c] = true
 	s.probeOK[c] = 0
 	s.col.Emit(obs.KindMemberEvict, c, s.st.Round(), value)
-}
-
-// evictThreshold returns the effective consecutive-error eviction
-// threshold (0 = eviction disabled).
-func (s *Session) evictThreshold() int64 {
-	if s.health.Disable {
-		return 0
-	}
-	switch {
-	case s.health.EvictAfter > 0:
-		return s.health.EvictAfter
-	case s.health.EvictAfter < 0:
-		return 0
-	default:
-		return 8
-	}
-}
-
-// reinstateThreshold returns the effective probe streak for automatic
-// reinstatement (0 = disabled).
-func (s *Session) reinstateThreshold() int {
-	if s.health.Disable {
-		return 0
-	}
-	switch {
-	case s.health.ReinstateAfter > 0:
-		return s.health.ReinstateAfter
-	case s.health.ReinstateAfter < 0:
-		return 0
-	default:
-		return 3
-	}
 }
 
 // scoreTick runs the evidence-based eviction check: an active channel
@@ -887,7 +794,7 @@ func (s *Session) peerTick() {
 // scoreStep folds one (channel, score) observation into low, the
 // calling rule's streak counters: an inactive channel or a score at or
 // above threshold resets the streak; otherwise it grows, and at
-// scoreStreak the channel is evicted with the score as the eviction
+// ScoreStreak the channel is evicted with the score as the eviction
 // value, unless it is the last active one. Caller holds s.mu.
 func (s *Session) scoreStep(low []int, c, score, threshold int) {
 	if c < 0 || c >= s.n {
@@ -897,53 +804,32 @@ func (s *Session) scoreStep(low []int, c, score, threshold int) {
 		low[c] = 0
 		return
 	}
-	if low[c]++; low[c] >= s.scoreStreak() && s.st.ActiveN() > 1 {
+	if low[c]++; low[c] >= s.health.ScoreStreak && s.st.ActiveN() > 1 {
 		s.evictLocked(c, int64(score))
 		low[c] = 0
 	}
 }
 
-// scoreStreak returns the effective consecutive-observation count both
-// score rules evict at.
-func (s *Session) scoreStreak() int {
-	if s.health.ScoreStreak < 1 {
-		return 2
-	}
-	return s.health.ScoreStreak
-}
-
 // healthTick runs the periodic health checks: error-streak,
-// marker-silence, windowed-health-score, and peer-score eviction for
-// active channels, liveness probes and reinstatement for evicted ones.
-// Runs on the marker timer with s.mu held.
+// windowed-health-score, and peer-score eviction for active channels,
+// liveness probes and reinstatement for evicted ones. Runs on the marker
+// timer with s.mu held.
 func (s *Session) healthTick() {
-	if s.health.Disable {
-		return
-	}
 	s.scoreTick()
 	s.peerTick()
-	now := obs.Now()
 	for c := 0; c < s.n; c++ {
 		switch {
 		case s.st.Member(c) == core.MemberActive:
-			if s.st.ActiveN() <= 1 {
-				continue // never evict the last channel
-			}
-			if ea := s.evictThreshold(); ea > 0 && s.st.ErrStreak(c) >= ea {
+			// Never evict the last channel.
+			if ea := s.health.EvictAfter; ea > 0 && s.st.ActiveN() > 1 && s.st.ErrStreak(c) >= ea {
 				s.evictLocked(c, s.st.ErrStreak(c))
-				continue
 			}
-			if at := s.rs.Channel(c).LastMarkerAt; s.health.MarkerSilence > 0 && at > s.admittedAt[c] {
-				if sil := now - at; sil > int64(s.health.MarkerSilence) {
-					s.evictLocked(c, sil)
-				}
-			}
-		case s.evicted[c] && s.reinstateThreshold() > 0:
+		case s.evicted[c] && s.health.ReinstateAfter > 0:
 			// Probe the evicted channel with an idempotent status
 			// announcement; a streak of successful sends is the recovery
 			// signal.
 			if s.st.ProbeChannel(c) == nil {
-				if s.probeOK[c]++; s.probeOK[c] >= s.reinstateThreshold() {
+				if s.probeOK[c]++; s.probeOK[c] >= s.health.ReinstateAfter {
 					if s.admitTxLocked(c, nil) == nil {
 						s.col.Emit(obs.KindMemberReinstate, c, s.st.Round(), 0)
 					}

@@ -212,6 +212,27 @@ func (c Config) markers() MarkerPolicy {
 	return m
 }
 
+// newStriper builds the transmit engine over channels: the one place
+// the root package fills a core.StriperConfig. scfg arrives carrying
+// only what a Session adds (the credit gate and the marker-credit hook).
+func (c Config) newStriper(channels []ChannelSender, scfg core.StriperConfig) (*core.Striper, error) {
+	if len(c.Quanta) != len(channels) {
+		return nil, errors.New("stripe: Quanta and channels must have equal length")
+	}
+	s, err := c.sched()
+	if err != nil {
+		return nil, err
+	}
+	scfg.Sched, scfg.Channels, scfg.Markers, scfg.Obs = s, channels, c.markers(), c.Collector
+	// A lifecycle tracer keys packets by the sequence identity they
+	// carry; without AddSeq that identity is in-process only and never
+	// survives an encoded channel, so every remote lifecycle would be
+	// torn. Configuring a tracer therefore implies explicit sequence
+	// numbers.
+	scfg.AddSeq = c.AddSeq || c.Collector.Tracer() != nil
+	return core.NewStriper(scfg)
+}
+
 // Sender stripes a FIFO packet stream across the channels. It is safe
 // for concurrent use.
 type Sender struct {
@@ -222,20 +243,7 @@ type Sender struct {
 
 // NewSender builds the sending half over the given channels.
 func NewSender(channels []ChannelSender, cfg Config) (*Sender, error) {
-	if len(cfg.Quanta) != len(channels) {
-		return nil, errors.New("stripe: Quanta and channels must have equal length")
-	}
-	s, err := cfg.sched()
-	if err != nil {
-		return nil, err
-	}
-	st, err := core.NewStriper(core.StriperConfig{
-		Sched:    s,
-		Channels: channels,
-		Markers:  cfg.markers(),
-		AddSeq:   cfg.AddSeq,
-		Obs:      cfg.Collector,
-	})
+	st, err := cfg.newStriper(channels, core.StriperConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -311,40 +319,88 @@ func (s *Sender) SentOn(c int) (packets, bytes int64) {
 	return s.st.SentOn(c)
 }
 
-// Receiver reassembles the FIFO stream. Feed it with Arrive (one pump
-// per channel is the usual shape) and consume with Recv or TryRecv. It
-// is safe for concurrent use.
-type Receiver struct {
+// recvHalf is the receive half of a striped connection — the paper's
+// one receiver algorithm (buffer per channel, simulate the sender's
+// automaton) behind one lock, one wait loop and one close signal. A
+// Receiver is exactly this; a Session embeds the same half, so the
+// session lock is this lock and its transmit cond waits on it too.
+type recvHalf struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	rxCond *sync.Cond // signalled by every arrival and by Close
 	rs     *core.Resequencer
 	col    *Collector
-	closed bool
+	// closed is a channel, not a flag: the session's timers select on it,
+	// and stripevet's goroleak follows a goroutine looping on Recv to its
+	// exit through the receive below.
+	closed chan struct{}
+	once   sync.Once
 }
 
-// NewReceiver builds the receiving half for n channels.
-func NewReceiver(n int, cfg Config) (*Receiver, error) {
+// init builds the half for n channels: the one place the root package
+// fills a core.ResequencerConfig. rcfg arrives carrying only what a
+// Session adds (the marker, membership and telemetry hooks).
+func (h *recvHalf) init(n int, cfg Config, rcfg core.ResequencerConfig) error {
 	if len(cfg.Quanta) != n {
-		return nil, errors.New("stripe: Quanta must have one entry per channel")
+		return errors.New("stripe: Quanta must have one entry per channel")
 	}
-	maxBuf := cfg.MaxBuffered
-	if maxBuf < 0 { // explicitly unbounded
-		maxBuf = 0
-	}
-	rcfg := core.ResequencerConfig{Mode: cfg.Mode, N: n, Obs: cfg.Collector, MaxBuffered: maxBuf}
+	// Negative means explicitly unbounded, which the engine spells zero.
+	rcfg.Mode, rcfg.N, rcfg.Obs, rcfg.MaxBuffered = cfg.Mode, n, cfg.Collector, max(cfg.MaxBuffered, 0)
 	if cfg.Mode == ModeLogical {
 		s, err := cfg.sched()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rcfg.Sched = s
 	}
 	rs, err := core.NewResequencer(rcfg)
 	if err != nil {
+		return err
+	}
+	h.rs, h.col = rs, cfg.Collector
+	h.rxCond = sync.NewCond(&h.mu)
+	h.closed = make(chan struct{})
+	return nil
+}
+
+// recvLocked is the receive loop: fill dst with the consecutive
+// in-order packets deliverable now and return how many; with block set
+// and none deliverable, wait for an arrival or for Close, and return 0
+// only once closed with nothing left to deliver. Caller holds h.mu.
+func (h *recvHalf) recvLocked(dst []*Packet, block bool) int {
+	if len(dst) == 0 {
+		return 0
+	}
+	for {
+		if n := h.rs.NextBatch(dst); n > 0 || !block {
+			return n
+		}
+		select {
+		case <-h.closed:
+			return 0
+		default:
+		}
+		h.rxCond.Wait()
+	}
+}
+
+// closeRecv raises the close signal, once. Whoever owns the half then
+// broadcasts under h.mu: a waiter holds the lock continuously from its
+// check of closed to its Wait, so either it sees the signal or it is
+// already waiting when the broadcast fires; an unlocked broadcast could
+// fall between the two and wake nobody.
+func (h *recvHalf) closeRecv() { h.once.Do(func() { close(h.closed) }) }
+
+// Receiver reassembles the FIFO stream. Feed it with Arrive (one pump
+// per channel is the usual shape) and consume with Recv or TryRecv. It
+// is safe for concurrent use.
+type Receiver struct{ recvHalf }
+
+// NewReceiver builds the receiving half for n channels.
+func NewReceiver(n int, cfg Config) (*Receiver, error) {
+	r := &Receiver{}
+	if err := r.init(n, cfg, core.ResequencerConfig{}); err != nil {
 		return nil, err
 	}
-	r := &Receiver{rs: rs, col: cfg.Collector}
-	r.cond = sync.NewCond(&r.mu)
 	return r, nil
 }
 
@@ -354,30 +410,26 @@ func (r *Receiver) Arrive(c int, p *Packet) {
 	r.mu.Lock()
 	r.rs.Arrive(c, p)
 	r.mu.Unlock()
-	r.cond.Broadcast()
+	r.rxCond.Broadcast()
 }
 
 // TryRecv returns the next in-order packet without blocking.
 func (r *Receiver) TryRecv() (*Packet, bool) {
+	var one [1]*Packet
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.rs.Next()
+	n := r.recvLocked(one[:], false)
+	return one[0], n > 0
 }
 
 // Recv blocks until the next in-order packet is available or the
 // receiver is closed (nil return).
 func (r *Receiver) Recv() *Packet {
+	var one [1]*Packet
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for {
-		if p, ok := r.rs.Next(); ok {
-			return p
-		}
-		if r.closed {
-			return nil
-		}
-		r.cond.Wait()
-	}
+	r.recvLocked(one[:], true)
+	return one[0]
 }
 
 // RecvBatch fills dst with as many consecutive in-order packets as are
@@ -387,29 +439,18 @@ func (r *Receiver) Recv() *Packet {
 // netchan transports are pool-backed; Release them once consumed to
 // keep the receive path allocation-free.
 func (r *Receiver) RecvBatch(dst []*Packet) int {
-	if len(dst) == 0 {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for {
-		if n := r.rs.NextBatch(dst); n > 0 {
-			return n
-		}
-		if r.closed {
-			return 0
-		}
-		r.cond.Wait()
-	}
+	return r.recvLocked(dst, true)
 }
 
 // Close unblocks pending Recv calls; subsequent Recv calls drain
 // nothing further once the ordering discipline blocks.
 func (r *Receiver) Close() {
+	r.closeRecv()
 	r.mu.Lock()
-	r.closed = true
+	r.rxCond.Broadcast()
 	r.mu.Unlock()
-	r.cond.Broadcast()
 }
 
 // Drain force-flushes everything still buffered, best effort, at end of
