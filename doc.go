@@ -56,10 +56,15 @@
 // Duplex Sessions piggyback credit-based flow control on markers. Each
 // marker carries the sender's cumulative byte position on its channel;
 // because channels are FIFO, the receiver computes the exact loss at
-// every marker arrival and re-grants consumed+lost+window, so credits
-// lost with dropped packets are reclaimed within a marker period and
-// the sender never wedges permanently (grants are folded monotonically,
-// making lost or reordered markers harmless). Between markers a session
+// every marker arrival and grants one window past everything that has
+// left the channel and its own buffers (arrived − buffered + lost, read
+// off the receive ledger), so credits lost with dropped packets are
+// reclaimed within a marker period, bytes the receiver itself discards
+// are credited back at once, and the sender never wedges permanently
+// (the position is monotone, making lost or reordered markers
+// harmless). The peer's grants are read as its markers and credit
+// packets arrive, ahead of their place in the delivery order, so a slow
+// application does not stall its own sender. Between markers a session
 // returns grants in credit packets of their own once the application has
 // drained half a window, at most one round of them per millisecond, so a
 // one-way flow does not wait on the peer's marker timer. Config.MaxBuffered caps
@@ -86,7 +91,7 @@
 // Receiver.Stats and Session.Stats return ReceiverStats, the receive
 // ledger. PerChannel rows name the fate of every packet received on the
 // channel — Arrived = Delivered + Buffered + Markers + Telemetry +
-// Control (member blocks, resets, stray credits) + OldEpochDrops
+// Control (member blocks, resets, credits) + OldEpochDrops
 // (discarded waiting out a reset) + OverflowDrops (hard buffer cap) +
 // MemberDrops (arrivals on a removed slot) + MemberLost (buffered tail
 // declared lost at retirement) + BadMarkers + BadMembers + BadTelemetry

@@ -17,9 +17,11 @@ import (
 // stripebench invocation it shows uses a flag stripebench has
 // (cmd/stripebench's TestFlagSet pins the same four on the real flag
 // set; package main cannot be imported from here). It does the same for
-// the two surfaces a deletion leaves dangling in prose: a configuration
-// field a document names is a field of that struct, and an endpoint path
-// it names is one Serve answers.
+// the three surfaces a deletion leaves dangling in prose: a
+// configuration field a document names is a field of that struct, a
+// method it names on Session, Sender or Receiver is in that type's
+// method set (promoted ones included), and an endpoint path it names is
+// one Serve answers.
 func TestDocsCiteWhatExists(t *testing.T) {
 	srv, err := stripe.Serve("127.0.0.1:0", stripe.NewCollector(1))
 	if err != nil {
@@ -32,6 +34,12 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		"HealthConfig":  reflect.TypeOf(stripe.HealthConfig{}),
 	}
 	field := regexp.MustCompile(`\b(Config|SessionConfig|HealthConfig)\.([A-Z]\w*)`)
+	owners := map[string]reflect.Type{
+		"Session":  reflect.TypeOf((*stripe.Session)(nil)),
+		"Sender":   reflect.TypeOf((*stripe.Sender)(nil)),
+		"Receiver": reflect.TypeOf((*stripe.Receiver)(nil)),
+	}
+	method := regexp.MustCompile(`\b(Session|Sender|Receiver)\.([A-Z]\w*)`)
 	// Not after a lower-case letter: examples/metrics is a directory.
 	endpoint := regexp.MustCompile(`(?:^|[^a-z])(/metrics\b|/debug/[a-z/]+)`)
 	served := map[string]bool{} // each path is fetched once across all documents
@@ -62,6 +70,11 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		for _, m := range field.FindAllStringSubmatch(string(text), -1) {
 			if _, ok := configs[m[1]].FieldByName(m[2]); !ok {
 				t.Errorf("%s cites %s: no such field", doc, m[0])
+			}
+		}
+		for _, m := range method.FindAllStringSubmatch(string(text), -1) {
+			if _, ok := owners[m[1]].MethodByName(m[2]); !ok {
+				t.Errorf("%s cites %s: no such method", doc, m[0])
 			}
 		}
 		for _, m := range endpoint.FindAllStringSubmatch(string(text), -1) {

@@ -71,7 +71,7 @@ func TestAccessorsAndEdgeArrivals(t *testing.T) {
 func TestSequenceModeControlPackets(t *testing.T) {
 	rs := mustReseq(t, ResequencerConfig{N: 2, Mode: ModeSequence})
 	seen := 0
-	rs.onMarker = func(int, packet.MarkerBlock) { seen++ }
+	rs.onGrant = func(int, uint64) { seen++ }
 
 	mk := func(seq uint64) *packet.Packet {
 		p := packet.NewDataSized(50)
@@ -151,7 +151,7 @@ func TestCausalModeMarkersIgnoredButObserved(t *testing.T) {
 	rs, err := NewResequencer(ResequencerConfig{
 		Mode:        ModeLogical,
 		CausalSched: rx,
-		OnMarker:    func(int, packet.MarkerBlock) { seen++ },
+		OnGrant:     func(int, uint64) { seen++ },
 	})
 	if err != nil {
 		t.Fatal(err)

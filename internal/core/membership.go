@@ -531,11 +531,12 @@ func (r *Resequencer) sweepLeaving() {
 }
 
 // retire completes slot c's removal: remaining buffered control is
-// consumed (markers for their piggybacked credits), remaining buffered
-// data — unreachable in order once the channel is gone — is declared
-// lost, and the slot leaves the simulation. Every packet buffered from
-// c is therefore either delivered in order (the drain path) or declared
-// lost here; none is ever delivered out of order. Callers retire only
+// consumed (markers are only counted; what they said was read when they
+// arrived), remaining buffered data — unreachable in order once the
+// channel is gone — is declared lost, and the slot leaves the
+// simulation. Every packet buffered from c is therefore either delivered
+// in order (the drain path) or declared lost here; none is ever
+// delivered out of order. Callers retire only
 // delimited slots (sweepLeaving, the delimiter's arrival, a local
 // RemoveChannel) or slots whose backlog a reset or rejoin has made
 // undeliverable.

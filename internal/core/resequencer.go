@@ -47,10 +47,14 @@ type ResequencerConfig struct {
 	N int
 	// Mode selects the receive discipline.
 	Mode Mode
-	// OnMarker, when non-nil, observes every structurally valid marker
-	// (in any mode). The flow controller uses it to read piggybacked
-	// credits.
-	OnMarker func(ch int, m packet.MarkerBlock)
+	// OnGrant, when non-nil, is handed every cumulative grant the peer
+	// states for the local sender's channel ch — a valid marker's non-zero
+	// Credits, or a credit packet addressed to the channel it arrived on —
+	// at arrival, in any mode: grants are monotone, so reading one ahead of
+	// its place in the delivery order is safe, and it keeps the transmit
+	// side live while the application is slow to consume. Without a
+	// handler credit packets are counted and discarded.
+	OnGrant func(ch int, grant uint64)
 	// OnMembership, when non-nil, observes membership transitions the
 	// receiver applies: joined=true when channel c is (re)admitted,
 	// false when its retirement completes. Sessions use it to mirror the
@@ -109,9 +113,8 @@ type Resequencer struct {
 	arrivq pktFIFO // ModeNone delivery queue
 
 	// Marker state (ModeLogical).
-	expect   []uint64
-	marked   []bool
-	onMarker func(int, packet.MarkerBlock)
+	expect []uint64
+	marked []bool
 	// Pending marker slots for eager draining (round-based ModeLogical):
 	// a marker popped from the head of its buffer at arrival has its
 	// (round, deficit) staged here and applied when the scan next visits
@@ -150,6 +153,7 @@ type Resequencer struct {
 	now          func() int64
 	telemetrySeq uint64
 	onTelemetry  func(packet.TelemetryBlock)
+	onGrant      func(ch int, grant uint64)
 
 	// Memory bound state.
 	maxBuffered int  // 0 = unbounded
@@ -247,7 +251,7 @@ func NewResequencer(cfg ResequencerConfig) (*Resequencer, error) {
 		pending:      make([]packet.MarkerBlock, n),
 		pendingHas:   make([]bool, n),
 		passed:       make([]bool, n),
-		onMarker:     cfg.OnMarker,
+		onGrant:      cfg.OnGrant,
 		led:          ResequencerStats{PerChannel: make([]obs.RecvChannel, n)},
 		staleRound:   make([]uint64, n),
 		staleDeficit: make([]int64, n),
@@ -286,9 +290,8 @@ func (r *Resequencer) Stats() ResequencerStats {
 }
 
 // Channel returns a copy of channel c's ledger row (the zero row when c
-// is out of range). Credit reconciliation reads ArrivedBytes and
-// BufferedBytes from it at marker arrival, the session's silence rule
-// reads LastMarkerAt.
+// is out of range). The session's marker tick reads Buffered from it to
+// tell a draining slot that is empty from one still delivering.
 func (r *Resequencer) Channel(c int) obs.RecvChannel {
 	if c < 0 || c >= r.n {
 		return obs.RecvChannel{}
@@ -302,12 +305,24 @@ func (r *Resequencer) Channel(c int) obs.RecvChannel {
 func (r *Resequencer) DeliveredBytesOn(c int) int64 { return r.led.PerChannel[c].DeliveredBytes }
 
 // ReleasedBytesOn returns the cumulative data bytes on channel c that
-// have left the pipeline for good: delivered, or proven lost by a marker
-// position. It is the position a loss-reconciling credit manager grants
-// a window past.
+// no longer occupy the channel or this receiver: everything that arrived
+// and is not held in a buffer, plus everything a marker proved lost. A
+// session grants its peer a window past it, and it is the only credit
+// reconciliation there is, for three reasons. At a marker's arrival
+// LostBytes is Sent − ArrivedBytes (harvestMarker), so the position
+// reads Sent − BufferedBytes: what the sender put on the channel less
+// what is still held here. It never falls: a buffered arrival adds to
+// both terms, a buffer only shrinks, LostBytes is a max-fold. And it
+// never passes the sender's own sent − buffered, because every byte
+// ArrivedBytes or LostBytes counts was first sent — so a window past it
+// cannot overrun the receive buffer. Counting from arrivals rather than
+// deliveries is what covers every fate: a packet discarded undelivered
+// (old epoch, overflow, removed slot, a backlog abandoned at retirement)
+// holds no buffer either, so its bytes go back to the sender as it is
+// discarded instead of when the next marker proves them gone.
 func (r *Resequencer) ReleasedBytesOn(c int) int64 {
 	row := &r.led.PerChannel[c]
-	return row.DeliveredBytes + row.LostBytes
+	return row.ArrivedBytes - row.BufferedBytes + row.LostBytes
 }
 
 // Buffered returns the total number of packets waiting in per-channel
@@ -394,8 +409,9 @@ func (r *Resequencer) deliver(c int, p *packet.Packet) {
 // consumeMarker gives a marker taken off channel c its fate: a
 // structurally valid marker addressed to c (condition C2: both ends
 // number the channels identically, so a disagreement is mis-wiring) is
-// counted and shown to the marker observer; anything else is a bad
-// marker. It returns the block and whether it was valid.
+// counted; anything else is a bad marker. It returns the block and
+// whether it was valid. What the marker says about loss, delay and
+// credit was read when it arrived (harvestMarker).
 func (r *Resequencer) consumeMarker(c int, p *packet.Packet) (packet.MarkerBlock, bool) {
 	m, err := packet.MarkerOf(p)
 	if err != nil || int(m.Channel) != c {
@@ -403,9 +419,6 @@ func (r *Resequencer) consumeMarker(c int, p *packet.Packet) (packet.MarkerBlock
 		return m, false
 	}
 	r.led.PerChannel[c].Markers++
-	if r.onMarker != nil {
-		r.onMarker(c, m)
-	}
 	return m, true
 }
 
@@ -429,8 +442,9 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 	if p.Kind == packet.Data {
 		// Count every physical data arrival, delivered or not: the
 		// reconciliation identity loss = Sent − arrived needs the raw
-		// arrival position, and bytes later discarded (old epochs,
-		// overflow) must still be credited back to the sender.
+		// arrival position, and bytes discarded below (old epochs,
+		// overflow, removed slots) are credited back to the sender by
+		// being counted here and never buffered (ReleasedBytesOn).
 		row.ArrivedBytes += int64(p.Len())
 		r.obs.TraceArrive(traceKey(p), c)
 	}
@@ -482,10 +496,9 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 		r.consumeTelemetry(c, p)
 		return
 	case p.Kind == packet.Credit:
-		// A credit is for the local sender's gate (the embedding applies
-		// it before handing the packet over); it never enters the delivery
-		// order either.
-		row.Control++
+		// A credit is for the local sender's gate; it never enters the
+		// delivery order either.
+		r.consumeCredit(c, p)
 		return
 	case p.Kind > packet.Telemetry:
 		// Forward compatibility: an unrecognized codepoint from a newer
@@ -500,8 +513,8 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 	}
 	if r.left[c] {
 		// Removed slot. Data is dropped (the arrival accounting above
-		// still credits it back to the sender); markers are consumed for
-		// their piggybacked credits only, since the slot has no
+		// still credits it back to the sender); markers are only counted —
+		// harvestMarker has read their credits and the slot has no
 		// simulation state left to synchronize; resets must still apply
 		// so a rejoining channel cannot wedge epoch recovery.
 		if p.Kind == packet.Data {

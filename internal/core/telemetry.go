@@ -14,16 +14,17 @@ import (
 // which is why PeerView only interprets cross-channel differences.
 func nowNs() int64 { return time.Now().UnixNano() }
 
-// harvestMarker records in channel c's ledger row what a physical
-// marker arrival proves: the arrival stamp the silence rule and the
-// windowed rollup read, the (sender tx, receiver rx) timestamp pair that
-// is one one-way delay sample, and the exact cumulative loss implied by
-// the marker's authoritative Sent position (channels are FIFO, so every
-// byte Sent counts has either arrived — ArrivedBytes counted it — or is
-// lost). It runs at arrival rather than consumption because arrival
-// time is the delay sample's semantics and a marker buffered behind
-// data must still update the loss view promptly; the consume paths give
-// the marker its fate.
+// harvestMarker reads what a physical marker arrival on channel c
+// proves and says: the arrival stamp the windowed rollup reads (marker
+// age, delay skew), the (sender tx, receiver rx) timestamp pair that is
+// one one-way delay sample, the exact cumulative loss implied by the
+// marker's authoritative Sent position (channels are FIFO, so every byte
+// Sent counts has either arrived — ArrivedBytes counted it — or is
+// lost), and the grant the peer piggybacked for the local sender, which
+// goes to the OnGrant hook. It runs at arrival rather than consumption
+// because arrival time is the delay sample's semantics and a marker
+// buffered behind data must still update the loss view and open the gate
+// promptly; the consume paths give the marker its fate.
 //
 //stripe:allowescape marker-cadence only, and the decode's magic-string check is compiler-elided; the valid-marker path is allocation-free
 func (r *Resequencer) harvestMarker(c int, p *packet.Packet) {
@@ -42,6 +43,29 @@ func (r *Resequencer) harvestMarker(c int, p *packet.Packet) {
 		row.LostBytes = lost
 		row.LossMarkers++
 	}
+	if m.Credits != 0 && r.onGrant != nil {
+		r.onGrant(c, m.Credits)
+	}
+}
+
+// consumeCredit gives a credit packet arriving on channel c its fate and
+// hands its grant to the configured observer. Like a marker, a credit
+// speaks only for the channel it travels on: a malformed or mis-addressed
+// one is counted as a rejected grant. Without an observer there is no
+// gate to speak to, and the packet is counted and discarded.
+//
+//stripe:allowescape control-cadence only (the peer sends at most one credit round per millisecond), and the decode's magic-string check is compiler-elided; the valid-credit path is allocation-free
+func (r *Resequencer) consumeCredit(c int, p *packet.Packet) {
+	r.led.PerChannel[c].Control++
+	if r.onGrant == nil {
+		return
+	}
+	cb, err := packet.DecodeCredit(p.Payload)
+	if err != nil || int(cb.Channel) != c {
+		r.obs.OnCreditRejected(c)
+		return
+	}
+	r.onGrant(c, cb.Grant)
 }
 
 // consumeTelemetry hands a telemetry block arriving on channel c to the

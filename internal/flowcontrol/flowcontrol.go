@@ -18,23 +18,24 @@
 // has put on the channel (MarkerBlock.Sent). Because channels are FIFO,
 // everything sent before the marker has either arrived or is lost by
 // the time the marker arrives, so the receiver computes the exact
-// cumulative loss L = Sent − arrived and grants consumed + L + W.
-// Lost bytes are thereby granted back automatically — the credit table
-// is self-healing after any loss burst — while the occupancy invariant
-// is preserved: the sender's unacked-but-not-lost bytes (in flight plus
-// buffered) still never exceed W.
+// cumulative loss L = Sent − arrived and grants a window past
+// arrived − buffered + L: the receive ledger's released position
+// (core.Resequencer.ReleasedBytesOn, where the arithmetic and the
+// reasons it suffices are). Lost bytes are thereby granted back
+// automatically — the credit table is self-healing after any loss
+// burst — while the occupancy invariant is preserved: the sender's
+// unacked-but-not-lost bytes (in flight plus buffered) still never
+// exceed W.
 //
 // Credits travel on the reverse path as Credit packets, and the paper
 // notes they piggyback naturally on the periodic marker traffic; the
-// Manager emits one grant per channel on demand so the harness can
-// send them at marker cadence.
+// session does both (DESIGN.md, "Credit return"). What a session uses of
+// this package is the Gate; the Manager below is an earlier receiver-side
+// issuer that only bench/'s flowcontrol.grant ladder row still calls, and
+// it goes when the next benchmark PR rewrites that row.
 package flowcontrol
 
-import (
-	"fmt"
-
-	"stripe/internal/packet"
-)
+import "fmt"
 
 // Gate is the sender-side credit table. It implements core.Gate. It is
 // a pure state machine; synchronise externally if shared.
@@ -160,17 +161,6 @@ func (g *Gate) ApplyGrant(c int, grant int64) error {
 	return nil
 }
 
-// ApplyCredit applies a credit packet to the table.
-func (g *Gate) ApplyCredit(p *packet.Packet) error {
-	cb, err := packet.CreditOf(p)
-	if err != nil {
-		return err
-	}
-	// Grant is validated below 2^63 by ApplyGrant, which rejects the
-	// negative values a wrapped conversion would produce.
-	return g.ApplyGrant(int(cb.Channel), int64(cb.Grant))
-}
-
 // Remaining returns channel c's unused credit in bytes (zero for
 // out-of-range channels).
 func (g *Gate) Remaining(c int) int64 {
@@ -193,7 +183,10 @@ func (g *Gate) Sent(c int) int64 {
 // bytes the receiver has consumed plus bytes written off as lost from
 // marker-carried sender positions. It keeps no count of either — both
 // are facts of the receive ledger, read through the released callback —
-// only the monotone grant floor the marker positions establish.
+// only the monotone grant floor the marker positions establish. Its only
+// caller is bench/'s flowcontrol.grant ladder row (sessions grant from
+// Resequencer.ReleasedBytesOn directly, which makes the floor redundant);
+// the next benchmark PR, the one allowed to edit bench/, deletes it.
 type Manager struct {
 	window   int64
 	released func(c int) int64
@@ -262,18 +255,4 @@ func (m *Manager) GrantFor(c int) int64 {
 		g = m.floor[c]
 	}
 	return g
-}
-
-// CreditPackets builds one credit packet per channel carrying the
-// current grants, for transmission on the reverse path (at marker
-// cadence, as the paper suggests).
-func (m *Manager) CreditPackets() []*packet.Packet {
-	out := make([]*packet.Packet, m.n)
-	for c := 0; c < m.n; c++ {
-		out[c] = packet.NewCredit(packet.CreditBlock{
-			Channel: uint32(c),             // c ranges over [0, m.n): non-negative, small
-			Grant:   uint64(m.GrantFor(c)), // grants are cumulative byte counts, >= 0 by construction
-		})
-	}
-	return out
 }

@@ -54,12 +54,17 @@ func FuzzApplyGrant(f *testing.F) {
 				c, before[c][1], gate.Remaining(c))
 		}
 
-		// The same grants through the wire path: encode, then validate on
-		// decode + apply. ApplyCredit must behave exactly like ApplyGrant
-		// on the decoded values.
+		// The same grants through the wire path: encode, decode, apply the
+		// decoded values — what the resequencer's consumeCredit and the
+		// session's grant hook do between them.
 		before = snapshot()
-		p := packet.NewCredit(packet.CreditBlock{Channel: ch, Grant: g2})
-		if err := gate.ApplyCredit(p); err != nil && snapshot() != before {
+		cb, err := packet.CreditOf(packet.NewCredit(packet.CreditBlock{Channel: ch, Grant: g2}))
+		if err != nil {
+			t.Fatalf("credit block did not survive its own codec: %v", err)
+		}
+		// Grant is validated below 2^63 by ApplyGrant, which rejects the
+		// negative values a wrapped conversion produces.
+		if err := gate.ApplyGrant(int(cb.Channel), int64(cb.Grant)); err != nil && snapshot() != before {
 			t.Fatalf("rejected credit packet (%v) still changed the table", err)
 		}
 		invariant()

@@ -73,7 +73,6 @@ func runCredit(cfg Config) *Result {
 		if err != nil {
 			panic(err)
 		}
-		mgr, _ := flowcontrol.NewManager(nch, window, rs.DeliveredBytesOn)
 
 		sizes := trace.NewBimodal(200, 1000, 0.5, cfg.Seed+6)
 		var delivered []*packet.Packet
@@ -111,7 +110,7 @@ func runCredit(cfg Config) *Result {
 			// Credits refreshed at marker cadence.
 			if withCredits && iter%8 == 0 {
 				for c := 0; c < nch; c++ {
-					if err := gate.ApplyGrant(c, mgr.GrantFor(c)); err != nil {
+					if err := gate.ApplyGrant(c, rs.ReleasedBytesOn(c)+window); err != nil {
 						panic(err)
 					}
 				}

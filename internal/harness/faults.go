@@ -162,35 +162,17 @@ func RunFaults(plan FaultPlan, seed int64, w int64, maxBuffered, total int, reco
 	if err != nil {
 		panic(err)
 	}
-	// The leaky scheme grants past delivered bytes only; reconciliation
-	// also counts the ledger's marker-proven loss.
+	// The leaky scheme grants a window past delivered bytes only; the
+	// reconciled one past the receive ledger's released position, which
+	// also counts marker-proven loss and the receiver's own discards.
 	released := rs.DeliveredBytesOn
 	if reconcile {
 		released = rs.ReleasedBytesOn
-	}
-	mgr, err := flowcontrol.NewManager(nch, w, released)
-	if err != nil {
-		panic(err)
 	}
 
 	sizes := trace.NewBimodal(300, 1100, 0.5, seed+13)
 	rep := FaultReport{Target: total}
 	streak, refreshes := 0, 0
-	arrive := func(c int, p *packet.Packet) {
-		if p.Kind == packet.Marker {
-			// The FIFO point: everything the sender put on c before this
-			// marker has arrived or is lost, so reconcile the credit
-			// state from the marker's sender position before the
-			// resequencer sees it.
-			if m, err := packet.MarkerOf(p); err == nil && reconcile {
-				row := rs.Channel(c)
-				if _, err := mgr.Reconcile(c, int64(m.Sent), row.ArrivedBytes, row.BufferedBytes); err != nil {
-					panic(err)
-				}
-			}
-		}
-		rs.Arrive(c, p)
-	}
 	// Per-channel delay lines for jitter. A packet popped off the queue
 	// at iteration i is released at i + uniform(0..Jitter), clamped to
 	// never overtake its predecessor so the channel stays FIFO.
@@ -212,7 +194,7 @@ func RunFaults(plan FaultPlan, seed int64, w int64, maxBuffered, total int, reco
 			lines[c] = append(lines[c], held{p, rel})
 		}
 		for len(lines[c]) > 0 && lines[c][0].release <= iter {
-			arrive(c, lines[c][0].p)
+			rs.Arrive(c, lines[c][0].p)
 			lines[c] = lines[c][1:]
 		}
 	}
@@ -267,7 +249,7 @@ func RunFaults(plan FaultPlan, seed int64, w int64, maxBuffered, total int, reco
 				continue
 			}
 			for c := 0; c < nch; c++ {
-				if err := gate.ApplyGrant(c, mgr.GrantFor(c)); err != nil {
+				if err := gate.ApplyGrant(c, released(c)+w); err != nil {
 					panic(err)
 				}
 			}

@@ -14,8 +14,8 @@
 //     one StormWindow — isolated resyncs are routine loss recovery, a
 //     burst means a channel is flapping;
 //   - auto-eviction: a KindMemberEvict event (the health monitor
-//     force-removed a channel after consecutive send errors or marker
-//     silence);
+//     force-removed a channel after consecutive send errors or a health
+//     score held below its threshold);
 //   - fairness-band exit / any invariant break: a
 //     KindInvariantViolation event from the attached Checker.
 //

@@ -14,9 +14,10 @@
 //     for every channel, using the collector's live fairness gauge.
 //   - Credit conservation: for every channel the gate's outstanding
 //     grant satisfies 0 ≤ granted − consumed ≤ window. The receiver
-//     grants exactly delivered + lost + window (flowcontrol.Manager over
-//     the receive ledger's DeliveredBytes + LostBytes), so granted −
-//     consumed = window − in-flight: a value outside [0, window] means
+//     grants exactly one window past the receive ledger's released
+//     position, ArrivedBytes − BufferedBytes + LostBytes
+//     (core.Resequencer.ReleasedBytesOn), so granted − consumed =
+//     window − (in flight + buffered): a value outside [0, window] means
 //     bytes were minted or destroyed.
 //   - Monotone rounds: within a reset epoch the sender's global round G
 //     never decreases between flushes (an SRR round, once completed,

@@ -38,8 +38,8 @@ import (
 var epoch0 = time.Now()
 
 // Now returns monotonic nanoseconds since the process timebase. The
-// receive ledger's LastMarkerAt stamps are on this axis too, so the
-// session's silence rule and the windowed rollup read one stamp.
+// receive ledger's LastMarkerAt stamps are on this axis too, which is
+// what lets the windowed rollup compare them with its own fold times.
 func Now() int64 { return time.Since(epoch0).Nanoseconds() }
 
 // PacketTrace is one completed packet lifecycle. All stamps are

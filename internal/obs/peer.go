@@ -234,17 +234,6 @@ func (pv *PeerView) Latest() *PeerSnapshot {
 	return pv.latest.Load()
 }
 
-// Score returns the peer-evidence score for channel c from the latest
-// snapshot, or -1 when no report covers it yet. The session health
-// monitor polls it for PeerScoreEvictBelow.
-func (pv *PeerView) Score(c int) int {
-	s := pv.Latest()
-	if s == nil || c < 0 || c >= len(s.Channels) {
-		return -1
-	}
-	return s.Channels[c].Score
-}
-
 // PeerSnapshot is one immutable publication of the peer's reported
 // view, timestamped on both clocks.
 type PeerSnapshot struct {

@@ -177,7 +177,7 @@ func WritePrometheus(w io.Writer, cols ...*Collector) {
 		func(c *ChannelSnapshot) int64 { return c.Tx.Drains },
 		func(c *ChannelSnapshot) int64 { return c.Rx.MemberDrains })
 	perChannel("stripe_member_evictions_total", "counter",
-		"Health-monitor forced removals (consecutive send errors or marker silence).",
+		"Health-monitor forced removals (consecutive send errors, or a windowed or peer-reported health score held below its threshold).",
 		func(c *ChannelSnapshot) int64 { return c.MemberEvictions })
 	perChannel("stripe_member_reinstates_total", "counter",
 		"Health-monitor re-admissions after recovery.",

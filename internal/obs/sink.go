@@ -56,8 +56,8 @@ const (
 	// packets declared lost (receiver side).
 	KindMemberDrain
 	// KindMemberEvict: the health monitor force-removed a channel.
-	// Value is the consecutive send-error count (or, for marker-silence
-	// evictions, the silent interval in nanoseconds).
+	// Value is the consecutive send-error count (or, for an eviction on
+	// the windowed or the peer-reported health score, that score).
 	KindMemberEvict
 	// KindMemberReinstate: the health monitor re-admitted a previously
 	// evicted channel after observing recovery.

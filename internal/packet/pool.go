@@ -68,77 +68,3 @@ func (p *Packet) reset() {
 	}
 	*p = Packet{Payload: buf}
 }
-
-// Resize sets the payload length to n, reusing the backing array when
-// its capacity allows. Contents are unspecified. This is how a batch
-// producer sizes packets taken with GetBatch.
-func (p *Packet) Resize(n int) {
-	if cap(p.Payload) < n {
-		p.Payload = make([]byte, n)
-	} else {
-		p.Payload = p.Payload[:n]
-	}
-}
-
-// The batch tier: sync.Pool costs two synchronized operations per
-// packet, which at batched line rate is the single largest remaining
-// per-packet tax. A whole batch can instead be recycled through one
-// mutex round trip on a plain LIFO slab; the slab is bounded, and
-// overflow spills into the sync.Pool so nothing is ever lost.
-const slabMax = 4096
-
-var (
-	slabMu sync.Mutex
-	slab   []*Packet
-)
-
-// GetBatch fills dst with zeroed pooled packets — one lock round trip
-// for the whole batch, falling back to the per-packet pool only when
-// the slab runs dry. Payloads have length zero with recycled capacity;
-// size them with Resize.
-func GetBatch(dst []*Packet) {
-	slabMu.Lock()
-	n := len(slab)
-	take := len(dst)
-	if take > n {
-		take = n
-	}
-	copy(dst[:take], slab[n-take:])
-	for i := n - take; i < n; i++ {
-		slab[i] = nil
-	}
-	slab = slab[:n-take]
-	slabMu.Unlock()
-	for i := take; i < len(dst); i++ {
-		dst[i] = pool.Get().(*Packet)
-	}
-}
-
-// ReleaseBatch releases every packet in pkts in one lock round trip
-// (nil entries are skipped). The same ownership rules as Release apply
-// to each packet. This is the intended partner of RecvBatch: receive a
-// batch, consume the payloads, release the batch.
-func ReleaseBatch(pkts []*Packet) {
-	for _, p := range pkts {
-		if p != nil {
-			p.reset()
-		}
-	}
-	slabMu.Lock()
-	room := slabMax - len(slab)
-	keep := len(pkts)
-	if keep > room {
-		keep = room
-	}
-	for _, p := range pkts[:keep] {
-		if p != nil {
-			slab = append(slab, p)
-		}
-	}
-	slabMu.Unlock()
-	for _, p := range pkts[keep:] {
-		if p != nil {
-			pool.Put(p)
-		}
-	}
-}

@@ -113,8 +113,7 @@ type Session struct {
 	recvHalf
 	txCond *sync.Cond // on recvHalf.mu: credit-stalled senders
 	st     *core.Striper
-	gate   *flowcontrol.Gate
-	mgr    *flowcontrol.Manager
+	gate   *flowcontrol.Gate // nil without a CreditWindow
 
 	// Membership and health state (guarded by mu).
 	n          int
@@ -148,14 +147,9 @@ type Session struct {
 func NewSession(channels []ChannelSender, cfg SessionConfig) (*Session, error) {
 	n := len(channels)
 	s := &Session{}
-	// Receive side first: the credit manager reads its drain counters.
+	// Receive side first: grants are read off its ledger (grantFor).
 	// Every hook is invoked from the receive path with s.mu already held.
-	err := s.init(n, cfg.Config, core.ResequencerConfig{
-		OnMarker: func(c int, m packet.MarkerBlock) {
-			if m.Credits != 0 && s.gate != nil {
-				s.applyGrantLocked(c, m.Credits)
-			}
-		},
+	rcfg := core.ResequencerConfig{
 		// Mirror the peer's announced membership onto this end's transmit
 		// side, so either end removing a channel retires the full duplex
 		// link.
@@ -164,7 +158,12 @@ func NewSession(channels []ChannelSender, cfg SessionConfig) (*Session, error) {
 		OnTelemetry: func(t packet.TelemetryBlock) {
 			s.peer.Apply(t, time.Now().UnixNano())
 		},
-	})
+	}
+	if cfg.CreditWindow > 0 {
+		// The peer's grants, from its markers and credit packets alike.
+		rcfg.OnGrant = s.applyGrantLocked
+	}
+	err := s.init(n, cfg.Config, rcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -190,20 +189,15 @@ func NewSession(channels []ChannelSender, cfg SessionConfig) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Invoked from the transmit path with s.mu already held.
-		mgr, err := flowcontrol.NewManager(n, cfg.CreditWindow, s.rs.ReleasedBytesOn)
-		if err != nil {
-			return nil, err
-		}
 		s.gate = gate
-		s.mgr = mgr
 		scfg.Gate = gate
 		s.advertised = make([]int64, n)
 		for c := range s.advertised {
 			s.advertised[c] = cfg.CreditWindow // the peer's gate opens with one window
 		}
+		// Invoked from the transmit path with s.mu already held.
 		scfg.MarkerCredits = func(c int) uint64 {
-			s.advertised[c] = mgr.GrantFor(c)
+			s.advertised[c] = s.grantFor(c)
 			return uint64(s.advertised[c])
 		}
 		// Feed the invariant checker the gate's live credit ledgers. The
@@ -362,51 +356,11 @@ func (s *Session) noteStall(since time.Time) {
 // SendBytes stripes a payload.
 func (s *Session) SendBytes(payload []byte) error { return s.Send(Data(payload)) }
 
-// Arrive hands the session a packet received from the peer on channel
-// c (any kind: data, markers with credits, credits, resets).
-func (s *Session) Arrive(c int, p *Packet) {
-	s.mu.Lock()
-	// Process credit state immediately rather than when the marker is
-	// consumed in scan order: grants and reconciled positions are
-	// monotone, so reading them early is safe, and it keeps the transmit
-	// side live even when the application is slow to Recv.
-	switch p.Kind {
-	case KindMarker:
-		if m, err := packet.MarkerOf(p); err == nil && int(m.Channel) == c && c >= 0 && c < s.n {
-			// Reconcile before the resequencer sees the marker: right now
-			// the per-channel FIFO guarantees every data byte the peer
-			// sent before cutting this marker has either arrived or is
-			// lost, so Sent − arrived is the channel's exact cumulative
-			// loss and the peer's window can be re-granted past it.
-			if s.mgr != nil {
-				row := s.rs.Channel(c)
-				s.mgr.Reconcile(c, int64(m.Sent), row.ArrivedBytes, row.BufferedBytes)
-			}
-			if s.gate != nil && m.Credits > 0 {
-				s.applyGrantLocked(c, m.Credits)
-			}
-		}
-	case KindCredit:
-		// The peer returning grant between markers (returnCreditLocked on
-		// its side). Like a marker, a credit speaks only for the channel
-		// it travels on.
-		if s.gate != nil {
-			if cb, err := packet.CreditOf(p); err == nil && int(cb.Channel) == c {
-				s.applyGrantLocked(c, cb.Grant)
-			} else {
-				s.col.OnCreditRejected(c)
-			}
-		}
-	}
-	s.rs.Arrive(c, p)
-	s.mu.Unlock()
-	s.rxCond.Broadcast()
-}
-
 // applyGrantLocked folds a cumulative grant the peer advertised for
-// transmit channel c into the gate and wakes credit-stalled senders.
-// Grants come off the wire: one the gate refuses is counted, not
-// applied. Caller holds s.mu and has checked s.gate.
+// transmit channel c into the gate and wakes credit-stalled senders. It
+// is the resequencer's OnGrant hook in a flow-controlled session, so it
+// runs inside Arrive with s.mu held. Grants come off the wire: one the
+// gate refuses is counted, not applied.
 func (s *Session) applyGrantLocked(c int, grant uint64) {
 	if s.gate.ApplyGrant(c, int64(grant)) != nil {
 		s.col.OnCreditRejected(c)
@@ -414,6 +368,12 @@ func (s *Session) applyGrantLocked(c int, grant uint64) {
 	}
 	s.txCond.Broadcast()
 }
+
+// grantFor is the cumulative grant this end extends the peer on receive
+// channel c: one window past everything that has left the channel and
+// this end's buffers for good (Resequencer.ReleasedBytesOn, where the
+// reasons it needs no further reconciliation are). Caller holds s.mu.
+func (s *Session) grantFor(c int) int64 { return s.rs.ReleasedBytesOn(c) + s.window }
 
 // creditGap is the least time between two rounds of credit packets. A
 // credit costs the peer a reader wake-up, the session lock and a
@@ -438,12 +398,12 @@ const creditGap = time.Millisecond
 // last until the peer hears of it. Markers still carry the grant on the
 // timer, which is what recovers a lost credit packet. Caller holds s.mu.
 func (s *Session) returnCreditLocked() {
-	if s.mgr == nil || s.creditHeld {
+	if s.gate == nil || s.creditHeld {
 		return
 	}
 	earned := false
 	for c, told := range s.advertised {
-		if g := s.mgr.GrantFor(c); g > told && g-told >= s.window/2 {
+		if g := s.grantFor(c); g > told && g-told >= s.window/2 {
 			earned = true
 			break
 		}
@@ -463,7 +423,7 @@ func (s *Session) returnCreditLocked() {
 	}
 	s.creditAt = now
 	for c, told := range s.advertised {
-		g := s.mgr.GrantFor(c)
+		g := s.grantFor(c)
 		if g <= told {
 			continue
 		}
@@ -571,13 +531,6 @@ func (s *Session) Close() {
 	s.txCond.Broadcast()
 	s.rxCond.Broadcast()
 	s.mu.Unlock()
-}
-
-// Stats returns this end's receive counters.
-func (s *Session) Stats() ReceiverStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rs.Stats()
 }
 
 // SendStats returns this end's transmit counters, including the

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"stripe/internal/channel"
 	"stripe/internal/core"
+	"stripe/internal/packet"
 )
 
 // kindCounter is a ChannelSender shim on the credit-return path: it
@@ -288,4 +290,97 @@ func TestMembershipCreditTrafficLeavesDrainClocksAlone(t *testing.T) {
 		t.Errorf("%d announcement repeats after the flood, want %d: credit traffic spent some", got, want)
 	}
 	assertCreditsClean(t, a, b)
+}
+
+// handFedSession builds one flow-controlled (window > 0) or plain end
+// over in-process queues nobody reads, with the marker timer off and a
+// checker attached, and spends credit on every channel, so the test is
+// the only source of arrivals and a grant has something to give back.
+func handFedSession(t *testing.T, nch int, window int64) *Session {
+	t.Helper()
+	tx := make([]ChannelSender, nch)
+	for i := range tx {
+		tx[i] = channel.NewQueue(channel.Impairments{})
+	}
+	s, err := NewSession(tx, creditConfig(nch, window, -1)(NewCollector(nch)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	for i := 0; i < 2*nch; i++ { // two 1000 B packets a channel
+		if err := s.SendBytes(make([]byte, 1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestMarkerCreditOpensGateBeforeConsumption: the grant on a marker is
+// read when the marker arrives, not when the delivery scan reaches it.
+// The marker sits behind undelivered data on channel 1, channel 0 (which
+// the scan serves first) is withheld, and the application receives
+// nothing — yet the sender's gate must open.
+func TestMarkerCreditOpensGateBeforeConsumption(t *testing.T) {
+	const nch, window = 2, 4096
+	a := handFedSession(t, nch, window)
+	spent := window - a.CreditRemaining(1)
+	if spent <= 0 {
+		t.Fatalf("channel 1 spent %d bytes of credit; the test needs some to return", spent)
+	}
+
+	a.Arrive(1, Data(make([]byte, 500)))
+	a.Arrive(1, packet.NewMarker(packet.MarkerBlock{Channel: 1, Sent: 500, Credits: uint64(spent + window)}))
+
+	if p, ok := a.TryRecv(); ok {
+		t.Fatalf("delivered %v with channel 0 withheld; the scan was meant to be blocked", p)
+	}
+	if st := a.Stats(); st.Markers != 0 || st.Buffered != 2 {
+		t.Fatalf("markers consumed %d, packets buffered %d; the marker was meant to wait behind the data", st.Markers, st.Buffered)
+	}
+	if got := a.CreditRemaining(1); got != window {
+		t.Errorf("channel 1 credit %d after the marker arrived, want the full window %d: the grant waited for consumption", got, window)
+	}
+	assertCreditsClean(t, a)
+}
+
+// TestMisaddressedCreditIsRejected: a credit speaks only for the channel
+// it travels on. One naming another channel, and a truncated one, are
+// each counted as a rejected grant and change no credit, yet both keep
+// the Control fate every credit packet has; an end without flow control
+// has no gate to refuse on behalf of and counts neither.
+func TestMisaddressedCreditIsRejected(t *testing.T) {
+	const nch = 2
+	for _, tc := range []struct {
+		name    string
+		window  int64
+		rejects int64
+	}{
+		{"FlowControlled", 4096, 2},
+		{"NoCreditWindow", 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := handFedSession(t, nch, tc.window)
+			before := remaining(a, nch)
+			// Otherwise valid on either channel: both have sent 2000 bytes.
+			good := packet.NewCredit(packet.CreditBlock{Channel: 1, Grant: uint64(2000 + tc.window)})
+			a.Arrive(0, good)
+			a.Arrive(1, &Packet{Kind: KindCredit, Payload: good.Payload[:packet.CreditWireLen-1]})
+
+			snap := a.Snapshot()
+			if snap.CreditRejects != tc.rejects {
+				t.Errorf("%d grants rejected, want %d", snap.CreditRejects, tc.rejects)
+			}
+			if after := remaining(a, nch); after[0] != before[0] || after[1] != before[1] {
+				t.Errorf("credit moved %v -> %v on rejected grants", before, after)
+			}
+			st := a.Stats()
+			if st.PerChannel[0].Control != 1 || st.PerChannel[1].Control != 1 || st.Buffered != 0 {
+				t.Errorf("control fates %d and %d, %d buffered; want one per channel and nothing held",
+					st.PerChannel[0].Control, st.PerChannel[1].Control, st.Buffered)
+			}
+			if snap.InvariantViolations != 0 {
+				t.Errorf("%d invariant violations: %v", snap.InvariantViolations, snap.Violations)
+			}
+		})
+	}
 }

@@ -340,6 +340,22 @@ func TestSessionCloseUnblocks(t *testing.T) {
 				}
 			})
 		})
+		t.Run(o.name+"/ArriveOutOfRangeOrAfterClose", func(t *testing.T) {
+			e := o.mk(t)
+			within(t, "Arrive", func() {
+				e.Arrive(-1, Data([]byte{1}))
+				e.Arrive(nch, Data([]byte{2}))
+				e.Close()
+				e.Arrive(nch, Data([]byte{3}))
+				e.Arrive(1, Data([]byte{4})) // in range, but the scan waits on channel 0
+				if p, ok := e.TryRecv(); ok || p != nil {
+					t.Errorf("TryRecv = %v, %v; nothing that arrived was deliverable", p, ok)
+				}
+				if p := e.Recv(); p != nil {
+					t.Errorf("Recv after Close = %v, want nil", p)
+				}
+			})
+		})
 		// The lost wakeup: a waiter that has checked the close signal but
 		// not yet parked must still be woken, whichever side wins the race.
 		t.Run(o.name+"/ParkedRecvAlwaysWakes", func(t *testing.T) {

@@ -338,7 +338,7 @@ type recvHalf struct {
 
 // init builds the half for n channels: the one place the root package
 // fills a core.ResequencerConfig. rcfg arrives carrying only what a
-// Session adds (the marker, membership and telemetry hooks).
+// Session adds (the grant, membership and telemetry hooks).
 func (h *recvHalf) init(n int, cfg Config, rcfg core.ResequencerConfig) error {
 	if len(cfg.Quanta) != n {
 		return errors.New("stripe: Quanta must have one entry per channel")
@@ -383,6 +383,24 @@ func (h *recvHalf) recvLocked(dst []*Packet, block bool) int {
 	}
 }
 
+// Arrive hands this end a packet physically received from the peer on
+// channel c, of any kind: data, markers (with the credits a session's
+// peer piggybacks on them), credits, membership, telemetry, resets. The
+// resequencer is the one reader of all of them.
+func (h *recvHalf) Arrive(c int, p *Packet) {
+	h.mu.Lock()
+	h.rs.Arrive(c, p)
+	h.mu.Unlock()
+	h.rxCond.Broadcast()
+}
+
+// Stats reports this end's receive counters.
+func (h *recvHalf) Stats() ReceiverStats {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.rs.Stats()
+}
+
 // closeRecv raises the close signal, once. Whoever owns the half then
 // broadcasts under h.mu: a waiter holds the lock continuously from its
 // check of closed to its Wait, so either it sees the signal or it is
@@ -402,15 +420,6 @@ func NewReceiver(n int, cfg Config) (*Receiver, error) {
 		return nil, err
 	}
 	return r, nil
-}
-
-// Arrive hands the receiver a packet physically received on channel c
-// (data, marker, or any other kind read off the channel).
-func (r *Receiver) Arrive(c int, p *Packet) {
-	r.mu.Lock()
-	r.rs.Arrive(c, p)
-	r.mu.Unlock()
-	r.rxCond.Broadcast()
 }
 
 // TryRecv returns the next in-order packet without blocking.
@@ -466,13 +475,6 @@ func (r *Receiver) Buffered() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.rs.Buffered()
-}
-
-// Stats reports the receiver's protocol counters.
-func (r *Receiver) Stats() ReceiverStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rs.Stats()
 }
 
 // Snapshot returns the attached Collector's metrics (the zero Snapshot
