@@ -92,13 +92,13 @@ var ErrClosed = errors.New("channel: closed")
 
 // Stats counts per-channel events. All counters are cumulative.
 type Stats struct {
-	Sent         int64 // packets accepted by Send
-	SentBytes    int64
-	Lost         int64 // dropped by the loss model
-	Corrupted    int64 // dropped as detectably corrupted
-	Delivered    int64 // packets handed to Recv
-	DeliveredBiB int64 // bytes handed to Recv
-	Overflowed   int64 // dropped because the queue was at capacity
+	Sent           int64 // packets accepted by Send
+	SentBytes      int64
+	Lost           int64 // dropped by the loss model
+	Corrupted      int64 // dropped as detectably corrupted
+	Delivered      int64 // packets handed to Recv
+	DeliveredBytes int64 // bytes handed to Recv
+	Overflowed     int64 // dropped because the queue was at capacity
 }
 
 // GilbertElliott is a two-state burst-loss model. In the Good state
@@ -150,7 +150,6 @@ type Queue struct {
 	bad      bool // Gilbert–Elliott state
 	buf      []*packet.Packet
 	head     int
-	cap      int   // packet limit; 0 = unbounded
 	capBytes int64 // byte limit; 0 = unbounded
 	bytes    int64 // payload bytes currently queued
 	stats    Stats
@@ -160,15 +159,6 @@ type Queue struct {
 // NewQueue returns an unbounded impaired FIFO.
 func NewQueue(imp Impairments) *Queue {
 	return &Queue{imp: imp, rng: rand.New(rand.NewSource(imp.Seed)), open: true}
-}
-
-// NewBoundedQueue returns a FIFO that drops (counting Overflowed) when
-// more than capacity packets are queued — the finite receive buffer of
-// the flow-control experiment.
-func NewBoundedQueue(imp Impairments, capacity int) *Queue {
-	q := NewQueue(imp)
-	q.cap = capacity
-	return q
 }
 
 // NewByteBoundedQueue returns a FIFO that drops (counting Overflowed)
@@ -236,10 +226,6 @@ func (q *Queue) Send(p *packet.Packet) error {
 		q.stats.Corrupted++
 		return nil
 	}
-	if q.cap > 0 && q.Len() >= q.cap {
-		q.stats.Overflowed++
-		return nil
-	}
 	if q.capBytes > 0 && q.bytes+int64(p.Len()) > q.capBytes {
 		q.stats.Overflowed++
 		return nil
@@ -255,7 +241,7 @@ func (q *Queue) Send(p *packet.Packet) error {
 // error process or a capacity bound goes through Send per packet so
 // the impairment state machines observe every packet in order.
 func (q *Queue) SendBatch(pkts []*packet.Packet) (int, error) {
-	if q.open && q.cap == 0 && q.capBytes == 0 && q.imp.perfect() {
+	if q.open && q.capBytes == 0 && q.imp.perfect() {
 		var by int64
 		for _, p := range pkts {
 			by += int64(p.Len())
@@ -295,16 +281,8 @@ func (q *Queue) Recv() (*packet.Packet, bool) {
 		q.head = 0
 	}
 	q.stats.Delivered++
-	q.stats.DeliveredBiB += int64(p.Len())
+	q.stats.DeliveredBytes += int64(p.Len())
 	return p, true
-}
-
-// Peek returns the head packet without removing it.
-func (q *Queue) Peek() (*packet.Packet, bool) {
-	if q.head == len(q.buf) {
-		return nil, false
-	}
-	return q.buf[q.head], true
 }
 
 // Group is a convenience bundle of N parallel queues between one sender
@@ -334,15 +312,6 @@ func (g *Group) Senders() []Sender {
 	return s
 }
 
-// Receivers returns the queues as a slice of Receiver.
-func (g *Group) Receivers() []Receiver {
-	r := make([]Receiver, len(g.Queues))
-	for i, q := range g.Queues {
-		r[i] = q
-	}
-	return r
-}
-
 // TotalStats sums the per-channel counters.
 func (g *Group) TotalStats() Stats {
 	var t Stats
@@ -353,7 +322,7 @@ func (g *Group) TotalStats() Stats {
 		t.Lost += s.Lost
 		t.Corrupted += s.Corrupted
 		t.Delivered += s.Delivered
-		t.DeliveredBiB += s.DeliveredBiB
+		t.DeliveredBytes += s.DeliveredBytes
 		t.Overflowed += s.Overflowed
 	}
 	return t

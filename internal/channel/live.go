@@ -165,7 +165,7 @@ func (l *Live) deliverLoop(mid <-chan timedPacket) {
 			case l.out <- tp.p:
 				l.mu.Lock()
 				l.stats.Delivered++
-				l.stats.DeliveredBiB += int64(tp.p.Len())
+				l.stats.DeliveredBytes += int64(tp.p.Len())
 				l.mu.Unlock()
 			case <-l.stop:
 				return

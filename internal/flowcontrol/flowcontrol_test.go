@@ -255,7 +255,7 @@ func TestCreditsBoundBufferOccupancy(t *testing.T) {
 		// The invariant: bytes arrived on c but not yet delivered never
 		// exceed the window.
 		for c := 0; c < 2; c++ {
-			occupancy := g.Queues[c].Stats().DeliveredBiB - rs.DeliveredBytesOn(c)
+			occupancy := g.Queues[c].Stats().DeliveredBytes - rs.DeliveredBytesOn(c)
 			if occupancy > window {
 				t.Fatalf("channel %d buffer occupancy %d exceeds window %d", c, occupancy, window)
 			}

@@ -5,9 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"stripe/internal/channel"
 	"stripe/internal/core"
-	"stripe/internal/packet"
 	"stripe/internal/sched"
 	"stripe/internal/stats"
 	"stripe/internal/trace"
@@ -100,52 +98,29 @@ func runChannelScaling(cfg Config) *Result {
 	fmt.Fprintln(&b, row("channels", "ns/packet", "packets", "fifo ok"))
 	var x, nsPkt []float64
 	for _, nch := range counts {
-		quanta := sched.UniformQuanta(nch, 1500)
-		group := channel.NewGroup(nch, channel.Impairments{})
-		st, err := core.NewStriper(core.StriperConfig{
-			Sched:    sched.MustSRR(quanta),
-			Channels: group.Senders(),
-			Markers:  core.MarkerPolicy{Every: 4, Position: 0},
+		r := newRig(rigConfig{
+			quanta:  sched.UniformQuanta(nch, 1500),
+			markers: core.MarkerPolicy{Every: 4, Position: 0},
 		})
-		if err != nil {
-			panic(err)
-		}
-		rs, err := core.NewResequencer(core.ResequencerConfig{
-			Sched: sched.MustSRR(quanta),
-			Mode:  core.ModeLogical,
-		})
-		if err != nil {
-			panic(err)
-		}
 		sizes := trace.NewBimodal(200, 1000, 0.5, cfg.Seed)
-		delivered := 0
-		inOrder := true
-		lastID := int64(-1)
 		start := time.Now()
 		for i := 0; i < n; i++ {
-			if err := st.Send(packet.NewDataSized(sizes.Next())); err != nil {
-				panic(err)
-			}
+			r.send(sizes.Next())
 			// Service arrivals round-robin, one per channel per send.
 			for c := 0; c < nch; c++ {
-				if p, ok := group.Queues[c].Recv(); ok {
-					rs.Arrive(c, p)
-				}
+				r.arrive(c)
 			}
-			for {
-				p, ok := rs.Next()
-				if !ok {
-					break
-				}
-				if int64(p.ID) != lastID+1 {
-					inOrder = false
-				}
-				lastID = int64(p.ID)
-				delivered++
-			}
+			r.deliver(0)
 		}
 		elapsed := time.Since(start)
 		perPkt := float64(elapsed.Nanoseconds()) / float64(n)
+		delivered := len(r.ids)
+		inOrder := true
+		for i, id := range r.ids {
+			if id != uint64(i) {
+				inOrder = false
+			}
+		}
 		fmt.Fprintln(&b, row(fmt.Sprintf("%d", nch),
 			fmt.Sprintf("%.0f", perPkt),
 			fmt.Sprintf("%d", delivered),

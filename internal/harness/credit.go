@@ -6,8 +6,6 @@ import (
 
 	"stripe/internal/channel"
 	"stripe/internal/core"
-	"stripe/internal/flowcontrol"
-	"stripe/internal/packet"
 	"stripe/internal/sched"
 	"stripe/internal/stats"
 	"stripe/internal/trace"
@@ -43,39 +41,22 @@ func runCredit(cfg Config) *Result {
 	}
 
 	run := func(withCredits bool) out {
-		quanta := sched.UniformQuanta(nch, 1500)
+		rc := rigConfig{
+			quanta:  sched.UniformQuanta(nch, 1500),
+			markers: core.MarkerPolicy{Every: 4, Position: 0},
+			queues:  make([]*channel.Queue, nch),
+		}
 		// The byte-bounded queue is the receiver's per-channel socket
 		// buffer; a full buffer drops arrivals, exactly like UDP.
-		queues := make([]*channel.Queue, nch)
-		senders := make([]channel.Sender, nch)
-		for i := range queues {
-			queues[i] = channel.NewByteBoundedQueue(channel.Impairments{}, bufBytes)
-			senders[i] = queues[i]
-		}
-		var gate *flowcontrol.Gate
-		scfg := core.StriperConfig{
-			Sched:    sched.MustSRR(quanta),
-			Channels: senders,
-			Markers:  core.MarkerPolicy{Every: 4, Position: 0},
+		for c := range rc.queues {
+			rc.queues[c] = channel.NewByteBoundedQueue(channel.Impairments{}, bufBytes)
 		}
 		if withCredits {
-			gate, _ = flowcontrol.NewGate(nch, window)
-			scfg.Gate = gate
+			rc.window = window
 		}
-		st, err := core.NewStriper(scfg)
-		if err != nil {
-			panic(err)
-		}
-		rs, err := core.NewResequencer(core.ResequencerConfig{
-			Sched: sched.MustSRR(quanta),
-			Mode:  core.ModeLogical,
-		})
-		if err != nil {
-			panic(err)
-		}
+		r := newRig(rc)
 
 		sizes := trace.NewBimodal(200, 1000, 0.5, cfg.Seed+6)
-		var delivered []*packet.Packet
 		blocked := 0
 		// The consumer drains one packet for every producer attempt: the
 		// sender is roughly 1.5x faster than the consumer on average, so
@@ -83,67 +64,32 @@ func runCredit(cfg Config) *Result {
 		i, iter := 0, 0
 		for i < total {
 			iter++
-			p := packet.NewDataSized(sizes.Next())
-			switch err := st.Send(p); err {
-			case nil:
+			if r.send(sizes.Next()) {
 				i++
-			case core.ErrGated:
+			} else {
 				blocked++
-			default:
-				panic(err)
 			}
 			// The consumer owns the drain: arrivals stay in the bounded
 			// receive buffers until it runs, and it runs at 2/3 the
 			// producer's rate, so without credits the buffers overflow.
 			if iter%3 == 0 {
-				for c, q := range queues {
-					if pkt, ok := q.Recv(); ok {
-						rs.Arrive(c, pkt)
-					}
+				for c := 0; c < nch; c++ {
+					r.arrive(c)
 				}
-				for k := 0; k < 2; k++ {
-					if p, ok := rs.Next(); ok {
-						delivered = append(delivered, p)
-					}
-				}
+				r.deliver(2)
 			}
 			// Credits refreshed at marker cadence.
 			if withCredits && iter%8 == 0 {
-				for c := 0; c < nch; c++ {
-					if err := gate.ApplyGrant(c, rs.ReleasedBytesOn(c)+window); err != nil {
-						panic(err)
-					}
-				}
+				r.refreshCredits(r.reseq.ReleasedBytesOn)
 			}
 		}
-		// Drain the residue.
-		for {
-			moved := false
-			for c, q := range queues {
-				if pkt, ok := q.Recv(); ok {
-					rs.Arrive(c, pkt)
-					moved = true
-				}
-			}
-			for {
-				p, ok := rs.Next()
-				if !ok {
-					break
-				}
-				delivered = append(delivered, p)
-			}
-			if !moved {
-				break
-			}
-		}
-		delivered = append(delivered, rs.Drain()...)
+		ids := r.settle()
 
 		var overflow int64
-		for _, q := range queues {
+		for _, q := range r.queues {
 			overflow += q.Stats().Overflowed
 		}
-		r := stats.AnalyzeOrder(deliveredIDs(delivered))
-		return out{overflow: overflow, delivered: len(delivered), ooo: r.OutOfOrderFraction(), blocked: blocked}
+		return out{overflow: overflow, delivered: len(ids), ooo: stats.AnalyzeOrder(ids).OutOfOrderFraction(), blocked: blocked}
 	}
 
 	without := run(false)

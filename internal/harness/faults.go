@@ -8,9 +8,7 @@ import (
 
 	"stripe/internal/channel"
 	"stripe/internal/core"
-	"stripe/internal/flowcontrol"
 	"stripe/internal/obs"
-	"stripe/internal/packet"
 	"stripe/internal/sched"
 	"stripe/internal/stats"
 	"stripe/internal/trace"
@@ -128,189 +126,106 @@ const stallPatience = 4000
 // channel count.
 func RunFaults(plan FaultPlan, seed int64, w int64, maxBuffered, total int, reconcile bool, col *obs.Collector) FaultReport {
 	nch := len(plan.Channels)
-	quanta := sched.UniformQuanta(nch, 1500)
 	queues := make([]*channel.Queue, nch)
-	senders := make([]channel.Sender, nch)
-	for i, f := range plan.Channels {
-		queues[i] = channel.NewQueue(channel.Impairments{
-			Loss:  f.Loss,
-			Burst: f.Burst,
-			Seed:  seed + int64(i)*7919,
-		})
-		senders[i] = queues[i]
+	for c, f := range plan.Channels {
+		queues[c] = channel.NewQueue(channel.Impairments{Loss: f.Loss, Burst: f.Burst, Seed: seed + int64(c)*7919})
 	}
-	gate, err := flowcontrol.NewGate(nch, w)
-	if err != nil {
-		panic(err)
-	}
-	st, err := core.NewStriper(core.StriperConfig{
-		Sched:    sched.MustSRR(quanta),
-		Channels: senders,
-		Markers:  core.MarkerPolicy{Every: 4, Position: 0},
-		Gate:     gate,
-		Obs:      col,
+	jrng := rand.New(rand.NewSource(seed + 104729))
+	r := newRig(rigConfig{
+		quanta:  sched.UniformQuanta(nch, 1500),
+		markers: core.MarkerPolicy{Every: 4, Position: 0},
+		queues:  queues,
+		// Jitter: a packet leaving channel c's queue at iteration i is
+		// released at i + uniform(0..Jitter); the delay line never lets
+		// it overtake its predecessor, so the channel stays FIFO.
+		delay: func(c int) int64 {
+			if j := plan.Channels[c].Jitter; j > 0 {
+				return int64(jrng.Intn(j + 1))
+			}
+			return 0
+		},
+		window:      w,
+		maxBuffered: maxBuffered,
+		obs:         col,
 	})
-	if err != nil {
-		panic(err)
-	}
-	rs, err := core.NewResequencer(core.ResequencerConfig{
-		Sched:       sched.MustSRR(quanta),
-		Mode:        core.ModeLogical,
-		MaxBuffered: maxBuffered,
-		Obs:         col,
-	})
-	if err != nil {
-		panic(err)
-	}
 	// The leaky scheme grants a window past delivered bytes only; the
 	// reconciled one past the receive ledger's released position, which
 	// also counts marker-proven loss and the receiver's own discards.
-	released := rs.DeliveredBytesOn
+	released := r.reseq.DeliveredBytesOn
 	if reconcile {
-		released = rs.ReleasedBytesOn
+		released = r.reseq.ReleasedBytesOn
 	}
 
 	sizes := trace.NewBimodal(300, 1100, 0.5, seed+13)
 	rep := FaultReport{Target: total}
 	streak, refreshes := 0, 0
-	// Per-channel delay lines for jitter. A packet popped off the queue
-	// at iteration i is released at i + uniform(0..Jitter), clamped to
-	// never overtake its predecessor so the channel stays FIFO.
-	type held struct {
-		p       *packet.Packet
-		release int
-	}
-	lines := make([][]held, nch)
-	jrng := rand.New(rand.NewSource(seed + 104729))
-	pump := func(c, iter int) {
-		if p, ok := queues[c].Recv(); ok {
-			rel := iter
-			if j := plan.Channels[c].Jitter; j > 0 {
-				rel += jrng.Intn(j + 1)
-			}
-			if n := len(lines[c]); n > 0 && lines[c][n-1].release > rel {
-				rel = lines[c][n-1].release
-			}
-			lines[c] = append(lines[c], held{p, rel})
-		}
-		for len(lines[c]) > 0 && lines[c][0].release <= iter {
-			rs.Arrive(c, lines[c][0].p)
-			lines[c] = lines[c][1:]
-		}
-	}
 	for iter := 0; rep.Sent < total; iter++ {
-		switch err := st.Send(packet.NewDataSized(sizes.Next())); err {
-		case nil:
+		r.now = int64(iter)
+		if r.send(sizes.Next()) {
 			rep.Sent++
 			streak = 0
-		case core.ErrGated:
+		} else {
 			streak++
-			if streak > rep.MaxGatedStreak {
-				rep.MaxGatedStreak = streak
-			}
+			rep.MaxGatedStreak = max(rep.MaxGatedStreak, streak)
 			if streak >= stallPatience {
 				rep.Stalled = true
-				rep.MaxBuffered = maxInt64(rep.MaxBuffered, int64(rs.Buffered()))
-				rep.Overflows = rs.Stats().Overflows
-				rep.LostReconciled = lostTotal(rs, reconcile)
-				rep.MaxErrStreak = maxErrStreak(st, nch)
-				return rep
+				break
 			}
-		default:
-			panic(err)
 		}
 		// Markers keep flowing while the data path is gated — exactly
 		// the behaviour the timer-driven EmitMarkers provides in the
 		// session — so reconciliation state keeps moving during a stall.
 		if iter%16 == 0 {
-			st.EmitMarkers()
+			r.striper.EmitMarkers()
 		}
-		// Pump each channel that is not in an outage window (its own or a
-		// correlated one).
-		for c := range queues {
+		// Each channel that is not in an outage window (its own or a
+		// correlated one) moves one hop.
+		for c := 0; c < nch; c++ {
 			if !plan.down(c, iter) {
-				pump(c, iter)
+				r.arrive(c)
 			}
 		}
-		if occ := int64(rs.Buffered()); occ > rep.MaxBuffered {
-			rep.MaxBuffered = occ
-		}
+		rep.MaxBuffered = max(rep.MaxBuffered, int64(r.reseq.Buffered()))
 		// The consumer drains at a bounded rate.
-		for k := 0; k < 2; k++ {
-			if _, ok := rs.Next(); ok {
-				rep.Delivered++
-			}
-		}
+		r.deliver(2)
 		// Credits refresh at marker cadence over a (possibly lossy)
 		// reverse path.
 		if iter%16 == 8 {
 			refreshes++
-			if plan.CreditLossEvery > 0 && refreshes%plan.CreditLossEvery == 0 {
-				continue
-			}
-			for c := 0; c < nch; c++ {
-				if err := gate.ApplyGrant(c, released(c)+w); err != nil {
-					panic(err)
-				}
+			if plan.CreditLossEvery == 0 || refreshes%plan.CreditLossEvery != 0 {
+				r.refreshCredits(released)
 			}
 		}
 	}
-	// Let outages end and the tail drain (the huge iteration count
-	// flushes the jitter delay lines).
-	for i := 0; i < 64; i++ {
-		for c := range queues {
-			pump(c, 1<<30)
-		}
-		for {
-			p, ok := rs.Next()
-			if !ok {
-				break
-			}
-			_ = p
-			rep.Delivered++
+	if !rep.Stalled {
+		// Let outages end and the tail drain: a clock far past every
+		// release time flushes the jitter delay lines.
+		r.now = 1 << 30
+		r.settle()
+	}
+	rep.Delivered = len(r.ids)
+	rep.MaxBuffered = max(rep.MaxBuffered, int64(r.reseq.Buffered()))
+	rep.Overflows = r.reseq.Stats().Overflows
+	if reconcile {
+		// The loss written off into grants: the ledger's marker-proven
+		// loss. The leaky scheme writes nothing off.
+		for _, row := range r.reseq.Stats().PerChannel {
+			rep.LostReconciled += row.LostBytes
 		}
 	}
-	rep.Delivered += len(rs.Drain())
-	rep.MaxBuffered = maxInt64(rep.MaxBuffered, int64(rs.Buffered()))
-	rep.Overflows = rs.Stats().Overflows
-	rep.LostReconciled = lostTotal(rs, reconcile)
-	rep.MaxErrStreak = maxErrStreak(st, nch)
-	return rep
-}
-
-// maxErrStreak is the worst per-channel consecutive transport-error
-// streak at the end of a run — the signal the session's error-streak
-// eviction rule watches. Impaired in-process queues drop silently
-// (Send never errors), so this stays at zero however lossy the plan:
-// exactly the blindness the windowed health score exists to cover.
-func maxErrStreak(st *core.Striper, nch int) (worst int64) {
+	// The worst per-channel consecutive transport-error streak at the end
+	// of the run is the signal the session's error-streak eviction rule
+	// watches. Impaired in-process queues drop silently (Send never
+	// errors), so it stays at zero however lossy the plan: exactly the
+	// blindness the windowed health score exists to cover.
 	for c := 0; c < nch; c++ {
-		worst = maxInt64(worst, st.ErrStreak(c))
+		rep.MaxErrStreak = max(rep.MaxErrStreak, r.striper.ErrStreak(c))
 	}
-	return worst
+	return rep
 }
 
 // fmtNs renders a nanosecond latency with time.Duration units.
 func fmtNs(ns int64) string { return time.Duration(ns).String() }
-
-// lostTotal is the loss written off into grants: the ledger's
-// marker-proven loss when reconciling, nothing under the leaky scheme.
-func lostTotal(rs *core.Resequencer, reconcile bool) (t int64) {
-	if !reconcile {
-		return 0
-	}
-	for _, row := range rs.Stats().PerChannel {
-		t += row.LostBytes
-	}
-	return t
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // DefaultFaultPlan is the acceptance scenario: every channel at 20%
 // i.i.d. loss, one channel with an added loss burst, one with outage

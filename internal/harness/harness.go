@@ -1,8 +1,12 @@
 // Package harness contains one runner per table and figure of the
 // paper's evaluation (and the ablations listed in DESIGN.md). Each
-// experiment is deterministic under its seed and reports the same rows
-// or series the paper reports, so the whole evaluation regenerates from
-// `go test -bench` or the stripebench command.
+// experiment reports the same rows or series the paper reports, so the
+// whole evaluation regenerates from `go test -bench` or the stripebench
+// command. An experiment's text is a pure function of its seed
+// (TestGoldenTables pins it) unless it reads the wall clock: flap
+// drives a real Session over goroutine-pumped channels, scaling reports
+// ns/packet, and faults' three delay-quantile rows come from the
+// lifecycle tracer.
 package harness
 
 import (

@@ -37,84 +37,23 @@ func init() {
 // tail. It returns the delivered IDs and receiver stats.
 func lossyRun(cfg Config, nch int, loss float64, markers core.MarkerPolicy, lossyCount, total int) ([]uint64, core.ResequencerStats) {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(loss*1e4) + int64(markers.Every)*7 + int64(markers.Position)*13))
-	quanta := sched.UniformQuanta(nch, 1500)
-	group := channel.NewGroup(nch, channel.Impairments{})
-	senders := group.Senders()
-	for i := range senders {
-		senders[i] = &probDropper{inner: senders[i], rng: rng, p: loss, until: uint64(lossyCount)}
-	}
-	st, err := core.NewStriper(core.StriperConfig{
-		Sched:    sched.MustSRR(quanta),
-		Channels: senders,
-		Markers:  markers,
+	r := newRig(rigConfig{
+		quanta:  sched.UniformQuanta(nch, 1500),
+		markers: markers,
+		sender: func(_ int, q *channel.Queue) channel.Sender {
+			return &probDropper{inner: q, rng: rng, p: loss, until: uint64(lossyCount)}
+		},
 	})
-	if err != nil {
-		panic(err)
-	}
-	rs, err := core.NewResequencer(core.ResequencerConfig{
-		Sched: sched.MustSRR(quanta),
-		Mode:  core.ModeLogical,
-	})
-	if err != nil {
-		panic(err)
-	}
 	sizes := trace.NewBimodal(200, 1000, 0.5, cfg.Seed+5)
-	var delivered []*packet.Packet
 	for i := 0; i < total; i++ {
-		if err := st.Send(packet.NewDataSized(sizes.Next())); err != nil {
-			panic(err)
-		}
+		r.send(sizes.Next())
 		// Interleaved arrivals, slightly irregular.
 		for k := 0; k < 1+i%2; k++ {
-			c := (i + k) % nch
-			if p, ok := group.Queues[c].Recv(); ok {
-				rs.Arrive(c, p)
-			}
+			r.arrive((i + k) % nch)
 		}
-		for {
-			p, ok := rs.Next()
-			if !ok {
-				break
-			}
-			delivered = append(delivered, p)
-		}
+		r.deliver(0)
 	}
-	for {
-		moved := false
-		for c, q := range group.Queues {
-			if p, ok := q.Recv(); ok {
-				rs.Arrive(c, p)
-				moved = true
-			}
-		}
-		for {
-			p, ok := rs.Next()
-			if !ok {
-				break
-			}
-			delivered = append(delivered, p)
-		}
-		if !moved {
-			break
-		}
-	}
-	delivered = append(delivered, rs.Drain()...)
-	return deliveredIDs(delivered), rs.Stats()
-}
-
-// probDropper drops data packets with probability p while ID < until.
-type probDropper struct {
-	inner channel.Sender
-	rng   *rand.Rand
-	p     float64
-	until uint64
-}
-
-func (d *probDropper) Send(p *packet.Packet) error {
-	if p.Kind == packet.Data && p.ID < d.until && d.rng.Float64() < d.p {
-		return nil
-	}
-	return d.inner.Send(p)
+	return r.settle(), r.reseq.Stats()
 }
 
 // runLossSweep regenerates the first finding of Section 6.3: for loss

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -13,47 +14,6 @@ import (
 	"stripe/internal/stats"
 	"stripe/internal/trace"
 )
-
-// peerSkewLine is a FIFO channel with a fixed propagation delay on a
-// shared virtual clock and optional *silent* data loss: Send always
-// reports success, so the sender's local error accounting never moves.
-// That is precisely the failure mode only the peer telemetry plane can
-// see.
-type peerSkewLine struct {
-	now     *int64
-	delayNs int64
-	loss    float64
-	rng     *rand.Rand
-	q       []peerSkewArrival
-	head    int
-}
-
-type peerSkewArrival struct {
-	at int64
-	p  *packet.Packet
-}
-
-func (l *peerSkewLine) Send(p *packet.Packet) error {
-	if p.Kind == packet.Data && l.loss > 0 && l.rng.Float64() < l.loss {
-		return nil // dropped without a trace: the sender sees success
-	}
-	l.q = append(l.q, peerSkewArrival{at: *l.now + l.delayNs, p: p})
-	return nil
-}
-
-// pop returns the next arrival due at or before now, nil when none.
-func (l *peerSkewLine) pop(now int64) *packet.Packet {
-	if l.head >= len(l.q) || l.q[l.head].at > now {
-		return nil
-	}
-	p := l.q[l.head].p
-	l.q[l.head].p = nil
-	l.head++
-	if l.head == len(l.q) {
-		l.q, l.head = l.q[:0], 0
-	}
-	return p
-}
 
 // peerSkewChannelOut is one channel's outcome from the peer-telemetry
 // scenario.
@@ -76,80 +36,49 @@ type peerSkewOut struct {
 // asymmetric propagation (and one silently lossy channel) on a virtual
 // clock, feeding the receiver's telemetry blocks through the wire codec
 // back into a sender-side PeerView — the deterministic version of what
-// a Session does on its marker timer.
+// a Session does on its marker timer. The loss is silent — Send reports
+// success, so the sender's local error accounting never moves — which
+// is precisely the failure mode only the peer telemetry plane can see.
 func runPeerSkewOne(cfg Config, iters int, delaysNs []int64, lossOn int, loss float64) peerSkewOut {
 	const tickNs = 100_000 // 100µs of virtual time per data packet
 	nch := len(delaysNs)
-	var vnow int64
-	clock := func() int64 { return vnow }
-
-	lines := make([]*peerSkewLine, nch)
-	senders := make([]channel.Sender, nch)
-	for c := range lines {
-		l := 0.0
-		if c == lossOn {
-			l = loss
-		}
-		lines[c] = &peerSkewLine{
-			now: &vnow, delayNs: delaysNs[c], loss: l,
-			rng: rand.New(rand.NewSource(cfg.Seed + int64(c)*101)),
-		}
-		senders[c] = lines[c]
-	}
-	quanta := sched.UniformQuanta(nch, 1500)
-	st, err := core.NewStriper(core.StriperConfig{
-		Sched:    sched.MustSRR(quanta),
-		Channels: senders,
-		Markers:  core.MarkerPolicy{Every: 8, Position: 0},
-		Now:      clock,
+	r := newRig(rigConfig{
+		quanta:  sched.UniformQuanta(nch, 1500),
+		markers: core.MarkerPolicy{Every: 8, Position: 0},
+		sender: func(c int, q *channel.Queue) channel.Sender {
+			d := &probDropper{inner: q, rng: rand.New(rand.NewSource(cfg.Seed + int64(c)*101)), until: math.MaxUint64}
+			if c == lossOn {
+				d.p = loss
+			}
+			return d
+		},
+		delay:        func(c int) int64 { return delaysNs[c] },
+		virtualClock: true,
 	})
-	if err != nil {
-		panic(err)
-	}
-	rs, err := core.NewResequencer(core.ResequencerConfig{
-		Sched: sched.MustSRR(quanta),
-		Mode:  core.ModeLogical,
-		Now:   clock,
-	})
-	if err != nil {
-		panic(err)
-	}
 	pv := obs.NewPeerView(nch)
 
 	sizes := trace.NewBimodal(200, 1000, 0.5, cfg.Seed+17)
-	delivered := 0
 	for i := 0; i < iters; i++ {
-		vnow += tickNs
-		if err := st.Send(packet.NewDataSized(sizes.Next())); err != nil {
-			panic(err)
-		}
-		for c, l := range lines {
-			for {
-				p := l.pop(vnow)
-				if p == nil {
-					break
-				}
-				rs.Arrive(c, p)
+		r.now += tickNs
+		r.send(sizes.Next())
+		// Everything sent this tick enters flight; whatever is due lands.
+		for c := 0; c < nch; c++ {
+			for r.arrive(c) {
 			}
 		}
-		for {
-			if _, ok := rs.Next(); !ok {
-				break
-			}
-			delivered++
-		}
+		r.deliver(0)
 		// Telemetry cadence: one report per 64 ticks, through the wire
 		// codec (encode, decode, fold) exactly as a session would.
 		if i%64 == 63 {
-			t, err := packet.TelemetryOf(packet.NewTelemetry(rs.TelemetryBlock()))
+			t, err := packet.TelemetryOf(packet.NewTelemetry(r.reseq.TelemetryBlock()))
 			if err != nil {
 				panic(err)
 			}
-			pv.Apply(t, vnow)
+			pv.Apply(t, r.now)
 		}
 	}
 
-	out := peerSkewOut{channels: make([]peerSkewChannelOut, nch), delivered: delivered}
+	out := peerSkewOut{channels: make([]peerSkewChannelOut, nch), delivered: len(r.ids)}
 	snap := pv.Latest()
 	if snap == nil {
 		return out
@@ -162,7 +91,7 @@ func runPeerSkewOne(cfg Config, iters int, delaysNs []int64, lossOn int, loss fl
 			owdNs:     snap.Channels[c].OneWayDelayNs,
 			relNs:     snap.Channels[c].RelativeDelayNs,
 			lossFrac:  snap.Channels[c].LossFrac,
-			errStreak: st.ErrStreak(c),
+			errStreak: r.striper.ErrStreak(c),
 		}
 	}
 	return out

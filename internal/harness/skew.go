@@ -34,61 +34,41 @@ type skewOut struct {
 // skewMs.
 func runSkewOne(cfg Config, skewMs float64, mode core.Mode, count int64) skewOut {
 	s := sim.New()
-	quanta := sched.UniformQuanta(2, 1500)
-
-	rcfg := core.ResequencerConfig{Mode: mode, N: 2}
-	if mode == core.ModeLogical {
-		rcfg.Sched = sched.MustSRR(quanta)
-	}
-	rs, err := core.NewResequencer(rcfg)
-	if err != nil {
-		panic(err)
-	}
 	sink := sim.NewSink(s)
 	maxBuf := 0
+	// The lines are the simulator's links: each delivers into the host's
+	// NIC, and the host's interrupt handler is the rig's arrival and
+	// delivery.
+	var r *rig
 	host, err := sim.NewHost(s, 2, sim.CPUConfig{PerInterrupt: sim.Microsecond, PerPacket: sim.Microsecond},
 		func(nic int, p *packet.Packet) {
-			rs.Arrive(nic, p)
-			if b := rs.Buffered(); b > maxBuf {
-				maxBuf = b
-			}
-			for {
-				q, ok := rs.Next()
-				if !ok {
-					return
-				}
+			r.reseq.Arrive(nic, p)
+			maxBuf = max(maxBuf, r.reseq.Buffered())
+			for _, q := range r.deliver(0) {
 				sink.Deliver(q)
 			}
 		})
 	if err != nil {
 		panic(err)
 	}
-	senders := make([]channel.Sender, 2)
 	delays := []sim.Time{sim.Millisecond, sim.Millisecond + sim.Time(skewMs*float64(sim.Millisecond))}
-	for i := range senders {
-		l, err := sim.NewLink(s, fmt.Sprintf("l%d", i), sim.LinkConfig{
-			RateBps: 10e6,
-			Delay:   delays[i],
-			Queue:   4096,
-			Seed:    cfg.Seed + int64(i),
-		}, host.NICInput(i))
-		if err != nil {
-			panic(err)
-		}
-		senders[i] = l
-	}
-	striper, err := core.NewStriper(core.StriperConfig{
-		Sched:    sched.MustSRR(quanta),
-		Channels: senders,
-		Markers:  core.MarkerPolicy{Every: 8, Position: 0},
+	r = newRig(rigConfig{
+		quanta:  sched.UniformQuanta(2, 1500),
+		mode:    mode,
+		markers: core.MarkerPolicy{Every: 8, Position: 0},
+		sender: func(c int, _ *channel.Queue) channel.Sender {
+			return must(sim.NewLink(s, fmt.Sprintf("l%d", c), sim.LinkConfig{
+				RateBps: 10e6,
+				Delay:   delays[c],
+				Queue:   4096,
+				Seed:    cfg.Seed + int64(c),
+			}, host.NICInput(c)))
+		},
 	})
-	if err != nil {
-		panic(err)
-	}
 
 	// An open-loop Poisson source at ~70% of the 20 Mb/s aggregate
 	// (mean 600 B at ~2900 pps).
-	src, err := sim.NewSource(s, striper, trace.NewBimodal(200, 1000, 0.5, cfg.Seed+31),
+	src, err := sim.NewSource(s, r.striper, trace.NewBimodal(200, 1000, 0.5, cfg.Seed+31),
 		trace.NewPoisson(343e3, cfg.Seed+32), count)
 	if err != nil {
 		panic(err)
@@ -97,9 +77,8 @@ func runSkewOne(cfg Config, skewMs float64, mode core.Mode, count int64) skewOut
 	src.Start()
 	s.Run(sim.Time(count)*400*sim.Microsecond + sim.Second)
 
-	r := stats.AnalyzeOrder(sink.IDs)
 	return skewOut{
-		ooo:       r.OutOfOrder,
+		ooo:       stats.AnalyzeOrder(sink.IDs).OutOfOrder,
 		maxBuf:    maxBuf,
 		meanLatMs: sink.MeanLatency() / 1e6,
 		p99LatMs:  float64(stats.Quantile(sink.LatencyNs, 0.99)) / 1e6,

@@ -43,96 +43,74 @@ func runTable1(cfg Config) *Result {
 	}
 	var rows []outcome
 
-	// Common scenario pieces.
-	mkSizes := func() trace.SizeGen { return trace.NewBimodal(200, 1000, 0.5, cfg.Seed+1) }
-	skew := []int{0, 40} // channel 1 lags 40 ticks: persistent skew
-	lossImp := channel.Impairments{Loss: 0.05, Seed: cfg.Seed + 2}
-
-	runScheme := func(name, modifies string, mk func(imp channel.Impairments) (*pipe, error)) {
+	// Every scheme runs over the same two lines: channel 1 lags 40 ticks
+	// (persistent skew), and the loss pass drops 5%.
+	base := func(imp channel.Impairments) rigConfig {
+		return rigConfig{
+			quanta: []int64{1500, 1500},
+			queues: channel.NewGroup(2, imp).Queues,
+			delay:  func(c int) int64 { return int64(c) * 40 },
+		}
+	}
+	run := func(r *rig) *rig {
+		sizes := trace.NewBimodal(200, 1000, 0.5, cfg.Seed+1)
+		for i := 0; i < n; i++ {
+			r.send(sizes.Next())
+		}
+		r.settle()
+		return r
+	}
+	runScheme := func(name, modifies string, mk func(rc rigConfig) *rig) {
 		o := outcome{name: name, modifies: modifies}
 		// Pass 1: skew only, no loss — steady-state FIFO behaviour.
-		p, err := mk(channel.Impairments{})
-		if err != nil {
-			panic(err)
-		}
-		if err := p.sendAll(n, mkSizes()); err != nil {
-			panic(err)
-		}
-		got := p.pump()
-		r := stats.AnalyzeOrder(deliveredIDs(got))
-		o.oooNoLoss = r.OutOfOrderFraction()
-		bytes := p.channelBytes()
+		r := run(mk(base(channel.Impairments{})))
+		o.oooNoLoss = stats.AnalyzeOrder(r.ids).OutOfOrderFraction()
+		bytes := r.sentBytes()
 		o.imbalance = stats.MaxImbalance(bytes)
 		o.jain = stats.JainIndex(bytes)
-		o.deliveredOK = len(got) == n
+		o.deliveredOK = len(r.ids) == n
 
 		// Pass 2: skew plus 5% loss — quasi-FIFO behaviour under errors.
-		p, err = mk(lossImp)
-		if err != nil {
-			panic(err)
-		}
-		if err := p.sendAll(n, mkSizes()); err != nil {
-			panic(err)
-		}
-		r = stats.AnalyzeOrder(deliveredIDs(p.pump()))
-		o.oooLoss = r.OutOfOrderFraction()
+		r = run(mk(base(channel.Impairments{Loss: 0.05, Seed: cfg.Seed + 2})))
+		o.oooLoss = stats.AnalyzeOrder(r.ids).OutOfOrderFraction()
 		rows = append(rows, o)
 	}
-
-	quanta := []int64{1500, 1500}
-	markers := core.MarkerPolicy{Every: 4, Position: 0}
+	rr := func() sched.RoundBased { return must(sched.NewRR(2)) }
 
 	// Row 1: round robin, no header, no resequencing.
-	runScheme("RR, no header", "none", func(imp channel.Impairments) (*pipe, error) {
-		return newPipe(pipeConfig{
-			quanta: quanta, mode: core.ModeNone, imp: imp, skew: skew,
-			schedFor: func() sched.RoundBased { s, _ := sched.NewRR(2); return s },
-		})
+	runScheme("RR, no header", "none", func(rc rigConfig) *rig {
+		rc.mode, rc.sched = core.ModeNone, rr
+		return newRig(rc)
 	})
 	// Row 2: round robin with sequence headers.
-	runScheme("RR with header", "adds seq header", func(imp channel.Impairments) (*pipe, error) {
-		return newPipe(pipeConfig{
-			quanta: quanta, mode: core.ModeSequence, addSeq: true, imp: imp, skew: skew,
-			schedFor: func() sched.RoundBased { s, _ := sched.NewRR(2); return s },
-		})
+	runScheme("RR with header", "adds seq header", func(rc rigConfig) *rig {
+		rc.mode, rc.addSeq, rc.sched = core.ModeSequence, true, rr
+		return newRig(rc)
 	})
 	// Row 4 (paper): fair queuing with header.
-	runScheme("SRR with header", "adds seq header", func(imp channel.Impairments) (*pipe, error) {
-		return newPipe(pipeConfig{
-			quanta: quanta, mode: core.ModeSequence, addSeq: true, imp: imp, skew: skew,
-		})
+	runScheme("SRR with header", "adds seq header", func(rc rigConfig) *rig {
+		rc.mode, rc.addSeq = core.ModeSequence, true
+		return newRig(rc)
 	})
 	// Row 5 (paper): fair queuing, no header — the paper's scheme.
-	runScheme("SRR, no header (strIPe)", "none", func(imp channel.Impairments) (*pipe, error) {
-		return newPipe(pipeConfig{
-			quanta: quanta, mode: core.ModeLogical, markers: markers, imp: imp, skew: skew,
-		})
+	runScheme("SRR, no header (strIPe)", "none", func(rc rigConfig) *rig {
+		rc.mode, rc.markers = core.ModeLogical, core.MarkerPolicy{Every: 4, Position: 0}
+		return newRig(rc)
 	})
 	// Extra baselines surveyed in Section 2.1.
-	runScheme("Random Selection", "none", func(imp channel.Impairments) (*pipe, error) {
-		sel, err := baseline.NewRandomSelection(2, cfg.Seed+3)
-		if err != nil {
-			return nil, err
-		}
-		return newPipe(pipeConfig{quanta: quanta, mode: core.ModeNone, imp: imp, skew: skew, selector: sel})
+	runScheme("Random Selection", "none", func(rc rigConfig) *rig {
+		rc.mode, rc.selector = core.ModeNone, must(baseline.NewRandomSelection(2, cfg.Seed+3))
+		return newRig(rc)
 	})
-	runScheme("Shortest Queue First", "none", func(imp channel.Impairments) (*pipe, error) {
-		var g *channel.Group
-		sel, err := baseline.NewShortestQueue(2, func(c int) int {
-			if g == nil {
-				return 0
-			}
-			return int(g.Queues[c].Stats().SentBytes) - int(g.Queues[c].Stats().DeliveredBiB)
-		})
-		if err != nil {
-			return nil, err
-		}
-		p, err := newPipe(pipeConfig{quanta: quanta, mode: core.ModeNone, imp: imp, skew: skew, selector: sel})
-		if err != nil {
-			return nil, err
-		}
-		g = p.group
-		return p, nil
+	runScheme("Shortest Queue First", "none", func(rc rigConfig) *rig {
+		var r *rig
+		rc.mode = core.ModeNone
+		rc.selector = must(baseline.NewShortestQueue(2, func(c int) int {
+			s := r.queues[c].Stats()
+			return int(s.SentBytes) - int(s.DeliveredBytes)
+		}))
+		r = newRig(rc)
+		return r
 	})
 
 	// Row 3 (paper): BONDING-style inverse mux, measured separately

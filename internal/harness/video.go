@@ -7,7 +7,6 @@ import (
 
 	"stripe/internal/channel"
 	"stripe/internal/core"
-	"stripe/internal/packet"
 	"stripe/internal/sched"
 	"stripe/internal/stats"
 	"stripe/internal/trace"
@@ -78,61 +77,21 @@ func runVideo(cfg Config) *Result {
 // (perfect resequencing of whatever survived) to isolate pure loss.
 func videoUsableFraction(cfg Config, vt *trace.VideoTrace, loss float64, reorder bool) float64 {
 	const nch = 4
-	quanta := sched.UniformQuanta(nch, 1024)
-	group := channel.NewGroup(nch, channel.Impairments{Loss: loss, Seed: cfg.Seed + 11})
-	st, err := core.NewStriper(core.StriperConfig{
-		Sched:    sched.MustSRR(quanta),
-		Channels: group.Senders(),
-		Markers:  core.MarkerPolicy{Every: 2, Position: 0},
+	r := newRig(rigConfig{
+		quanta:  sched.UniformQuanta(nch, 1024),
+		markers: core.MarkerPolicy{Every: 2, Position: 0},
+		queues:  channel.NewGroup(nch, channel.Impairments{Loss: loss, Seed: cfg.Seed + 11}).Queues,
 	})
-	if err != nil {
-		panic(err)
-	}
-	rs, err := core.NewResequencer(core.ResequencerConfig{
-		Sched: sched.MustSRR(quanta),
-		Mode:  core.ModeLogical,
-	})
-	if err != nil {
-		panic(err)
-	}
-
-	var delivered []*packet.Packet
-	pump := func() {
-		for {
-			moved := false
-			for c, q := range group.Queues {
-				if p, ok := q.Recv(); ok {
-					rs.Arrive(c, p)
-					moved = true
-				}
-			}
-			for {
-				p, ok := rs.Next()
-				if !ok {
-					break
-				}
-				delivered = append(delivered, p)
-			}
-			if !moved {
-				return
-			}
-		}
-	}
 	for i := range vt.Packets {
-		if err := st.Send(packet.NewDataSized(vt.Packets[i].Size)); err != nil {
-			panic(err)
-		}
+		r.send(vt.Packets[i].Size)
 		if i%16 == 0 {
-			pump()
+			r.quiesce()
 		}
 	}
-	pump()
-	delivered = append(delivered, rs.Drain()...)
-
-	ids := deliveredIDs(delivered)
+	ids := r.settle()
 	if !reorder {
 		// Perfect ordering of the survivors: sort by ingress ID.
-		sortIDs(ids)
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	}
 
 	// Score frames: all packets present, all before any packet of frame
@@ -164,8 +123,4 @@ func videoUsableFraction(cfg Config, vt *trace.VideoTrace, loss float64, reorder
 		usable++
 	}
 	return float64(usable) / float64(nFrames)
-}
-
-func sortIDs(ids []uint64) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
