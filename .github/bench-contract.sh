@@ -1,21 +1,27 @@
 #!/usr/bin/env bash
 # The benchmark's contract, as CI gates on it: every BENCHMARK.json
 # workload runs correct with nothing failed, and allocs_per_pkt stays
-# within 10% of the change-side median in the newest committed
-# BENCH_<n>.json. It is the only metric gated here because it is the
-# only one nearly stable on a shared runner (<2% IQR at 10 s);
-# time-based verdicts are alternating parent/change pairs committed as
-# a record. Run from anywhere: .github/bench-contract.sh
+# under a ceiling taken from the change-side median m in the newest
+# committed BENCH_<n>.json: max(1.10 x m, m + 0.02). The absolute term
+# is there because the socket path's steady state allocates nothing
+# (m is 0.0004 on bulk_tcp): ten percent of that is less than one
+# timer firing more or less in a 2 s run, so the ratio alone would be a
+# coin toss, while 0.02 is still well under what one allocation per
+# control packet costs (~0.13 on the TCP workloads), which is the
+# regression this gate exists to catch. allocs_per_pkt is the only
+# metric gated here because it is the only one nearly stable on a shared
+# runner; time-based verdicts are alternating parent/change pairs
+# committed as a record. Run from anywhere: .github/bench-contract.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 record=$(ls BENCH_[0-9]*.json | sort -V | tail -1)
-echo "ceilings: 1.10 x change-side median allocs_per_pkt in $record"
+echo "ceilings: max(1.10 x m, m + 0.02), m = change-side median allocs_per_pkt in $record"
 
 bad=0
 for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
   ceiling=$(jq -r --arg w "$w" \
-    '.summary[] | select(.workload == $w and .metric == "allocs_per_pkt") | .change.median * 1.10' "$record")
+    '.summary[] | select(.workload == $w and .metric == "allocs_per_pkt") | .change.median | [. * 1.10, . + 0.02] | max' "$record")
   if [ -z "$ceiling" ]; then
     echo "FAIL $w: $record has no allocs_per_pkt row for it"
     bad=1

@@ -47,6 +47,11 @@
 //     because the next Get anywhere in the process may reuse both.
 //   - Release is always optional: an unreleased packet is ordinary
 //     garbage, and correctness never depends on the pool.
+//   - A packet handed to Arrive is the receiver's from then on. Control
+//     packets (markers, credits, membership, telemetry, resets) are the
+//     protocol's own: the receiver returns each to the pool as it
+//     consumes it, so a pump must not read, keep or forward a packet
+//     after Arrive. Data packets are never released by the library.
 //   - Never Release a packet whose payload aliases memory you keep
 //     (e.g. one built with Data around an application buffer): Release
 //     donates the backing array to the pool.

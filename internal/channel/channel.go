@@ -64,8 +64,11 @@ type BatchSender interface {
 // run, plus markers) decides how many of them share one write. How much
 // goes to a channel before the next one is served is the scheduler's
 // logical decision; when the bytes cross into the kernel is a physical
-// one, and this is the seam that keeps them apart. The caller owes a Flush before it returns to code
-// that may wait on the peer: a buffered packet is not on the wire.
+// one, and this is the seam that keeps them apart. The caller owes a
+// Flush before it returns to code that may wait on the peer: a buffered
+// packet is not on the wire. When Buffer returns, the records are in the
+// channel's buffer and pkts — the packets and their payloads — are the
+// caller's again; the striper releases its control packets on that.
 type BufferedSender interface {
 	BatchSender
 	// Buffer enqueues pkts in FIFO order behind everything already

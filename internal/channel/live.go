@@ -161,11 +161,14 @@ func (l *Live) deliverLoop(mid <-chan timedPacket) {
 			}
 		}
 		for {
+			// Measured before the hand-off: once the receiver has the
+			// packet it may consume and release it.
+			size := int64(tp.p.Len())
 			select {
 			case l.out <- tp.p:
 				l.mu.Lock()
 				l.stats.Delivered++
-				l.stats.DeliveredBytes += int64(tp.p.Len())
+				l.stats.DeliveredBytes += size
 				l.mu.Unlock()
 			case <-l.stop:
 				return

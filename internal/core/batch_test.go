@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"stripe/internal/channel"
@@ -51,6 +52,13 @@ func TestNextBatchEquivalentToNext(t *testing.T) {
 		}
 	}
 
+	// Arrive owns a control packet and releases it, so the second
+	// resequencer gets a copy, taken before the first can let go.
+	tee := func(c int, p *packet.Packet) {
+		q := p.Clone()
+		rsA.Arrive(c, p)
+		rsB.Arrive(c, q)
+	}
 	for i := 0; i < 4000; i++ {
 		size := 100 + rng.Intn(1300)
 		if err := st.Send(packet.NewData(make([]byte, size))); err != nil {
@@ -58,10 +66,7 @@ func TestNextBatchEquivalentToNext(t *testing.T) {
 		}
 		for c, q := range g.Queues {
 			if p, ok := q.Recv(); ok {
-				// The same packet pointer feeds both resequencers;
-				// neither mutates buffered packets, so the tee is safe.
-				rsA.Arrive(c, p)
-				rsB.Arrive(c, p)
+				tee(c, p)
 			}
 		}
 		if i%17 == 0 {
@@ -74,8 +79,7 @@ func TestNextBatchEquivalentToNext(t *testing.T) {
 			if !ok {
 				break
 			}
-			rsA.Arrive(c, p)
-			rsB.Arrive(c, p)
+			tee(c, p)
 		}
 	}
 	drainBoth()
@@ -142,6 +146,11 @@ func TestBatchedPathSteadyStateZeroAlloc(t *testing.T) {
 			}
 		}
 	}
+	// The pool is the process's: two collections empty it of whatever
+	// earlier tests released (control packets, small payloads), so the
+	// packets cycling below are exactly the ones warmed here.
+	runtime.GC()
+	runtime.GC()
 	// Warm to steady state: the max-size pass grows every cycling
 	// payload to full capacity so GetSized never reallocates, then mixed
 	// sizes settle the queue and resequencer buffers.

@@ -15,7 +15,9 @@ import (
 
 // bufChan is a counting fake channel.BufferedSender: what Buffer
 // accepts waits in held until Flush moves it to wire, and every call
-// that would be a write syscall on a real transport is counted.
+// that would be a write syscall on a real transport is counted. Like a
+// real one it keeps a copy of each record, never the caller's packet:
+// when Buffer returns, the striper releases its control packets.
 type bufChan struct {
 	held, wire []*packet.Packet
 	flushes    int   // Flush calls
@@ -34,7 +36,7 @@ func (b *bufChan) Buffer(pkts []*packet.Packet) (int, error) {
 		if b.refuseAt > 0 && len(b.wire)+len(b.held) >= b.refuseAt {
 			return i, errLinkDown
 		}
-		b.held = append(b.held, p)
+		b.held = append(b.held, p.Clone())
 	}
 	return len(pkts), nil
 }

@@ -335,8 +335,6 @@ func (st *Striper) memberBlock(op packet.MemberOp, target int, round uint64) pac
 }
 
 // broadcastMember sends the latest announcement on every live channel.
-//
-//stripe:allowescape membership announcements allocate member packets; control-plane work on transitions and marker cadence only
 func (st *Striper) broadcastMember() {
 	for c := range st.out {
 		if !st.active[c] {
@@ -557,6 +555,7 @@ func (r *Resequencer) retire(c int) {
 			r.consumeMarker(c, p)
 		default:
 			row.Control++
+			p.Release()
 		}
 	}
 	if r.leaving[c] {

@@ -411,9 +411,11 @@ func (r *Resequencer) deliver(c int, p *packet.Packet) {
 // number the channels identically, so a disagreement is mis-wiring) is
 // counted; anything else is a bad marker. It returns the block and
 // whether it was valid. What the marker says about loss, delay and
-// credit was read when it arrived (harvestMarker).
+// credit was read when it arrived (harvestMarker). The block is a copy:
+// the packet goes back to the pool here.
 func (r *Resequencer) consumeMarker(c int, p *packet.Packet) (packet.MarkerBlock, bool) {
 	m, err := packet.MarkerOf(p)
+	p.Release()
 	if err != nil || int(m.Channel) != c {
 		r.led.PerChannel[c].BadMarkers++
 		return m, false
@@ -424,6 +426,13 @@ func (r *Resequencer) consumeMarker(c int, p *packet.Packet) (packet.MarkerBlock
 
 // Arrive accepts a packet physically received on channel c. Packets are
 // buffered; ordering decisions happen in Next.
+//
+// Arrive takes ownership of a control packet (any Kind but Data): the
+// resequencer releases it to the packet pool at the point it gives it a
+// fate — consumed, applied or discarded, here or in a later Next — so the
+// caller keeps no reference to it and hands the same pointer to nobody
+// else. A data packet is never released here, delivered or discarded:
+// its payload may be the application's.
 //
 //stripe:hotpath
 func (r *Resequencer) Arrive(c int, p *packet.Packet) {
@@ -460,6 +469,7 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 		} else {
 			row.OldEpochDrops++
 		}
+		discard(p)
 		return
 	}
 	switch {
@@ -469,6 +479,7 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 		// a draining channel keeps delivering until its buffer empties
 		// regardless of when the announcement was seen.
 		m, err := packet.MemberOf(p)
+		p.Release()
 		if err != nil || int(m.N) != r.n {
 			row.BadMembers++ // corrupt, or a foreign universe: mis-wired, do not apply
 			return
@@ -507,6 +518,7 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 		// schedulers and hand it to the application as data, desyncing
 		// the two ends over a packet the sender never striped.
 		row.UnknownKinds++
+		p.Release()
 		return
 	case p.Kind == packet.Marker:
 		r.harvestMarker(c, p)
@@ -526,6 +538,7 @@ func (r *Resequencer) arrive(c int, p *packet.Packet) {
 	}
 	if r.mode != ModeNone {
 		if p.Kind != packet.Reset && r.enforceCap(c) {
+			discard(p)
 			return
 		}
 		r.push(c, p)
@@ -908,16 +921,26 @@ func (r *Resequencer) consumeControl(c int) (packet.MarkerBlock, bool) {
 
 // control gives a control packet from channel c, held in no buffer, its
 // fate: markers are consumed (and returned when valid) and resets
-// applied.
+// applied. Either way the packet is released.
 func (r *Resequencer) control(c int, p *packet.Packet) (packet.MarkerBlock, bool) {
 	if p.Kind == packet.Marker {
 		return r.consumeMarker(c, p)
 	}
 	r.led.PerChannel[c].Control++
 	if p.Kind == packet.Reset {
-		r.applyReset(c, p)
+		r.applyReset(c, resetEpoch(p))
 	}
+	p.Release()
 	return packet.MarkerBlock{}, false
+}
+
+// discard ends the life of a packet the receiver drops undelivered: a
+// control packet goes back to the pool like a consumed one; a data
+// packet is left alone, because its payload may be the application's.
+func discard(p *packet.Packet) {
+	if p.Kind != packet.Data {
+		p.Release()
+	}
 }
 
 // applyMarker adopts the sender state (r_c, DC_c) carried by a valid
@@ -1104,8 +1127,7 @@ scan:
 }
 
 //stripe:allowescape reset path: runs once per crash-recovery epoch change, and flushing buffers and restoring scheduler state may allocate
-func (r *Resequencer) applyReset(c int, p *packet.Packet) {
-	e := resetEpoch(p)
+func (r *Resequencer) applyReset(c int, e uint64) {
 	if e <= r.epoch {
 		return // duplicate or stale reset
 	}
@@ -1148,9 +1170,11 @@ func (r *Resequencer) applyReset(c int, p *packet.Packet) {
 			if q.Kind == packet.Reset && resetEpoch(q) == e {
 				r.led.PerChannel[i].Control++
 				r.passed[i] = true
+				q.Release()
 				break
 			}
 			r.led.PerChannel[i].OldEpochDrops++
+			discard(q)
 		}
 	}
 	// Channels outside the live set never carry the new epoch's reset

@@ -258,6 +258,18 @@ func (st *Striper) bind(c int, tx channel.Sender) {
 // holds — the data of the run before it, the other control packets of
 // its batch — and goes out with the entry point's flushDirty, which is
 // also where its success is known; elsewhere it is a plain Send.
+//
+// sendControl owns p, a pooled packet built for this one send. Buffer
+// copies the record out (channel.BufferedSender), so the packet goes
+// back to the pool there. On any other channel the pointer itself may be
+// travelling to the peer, whose resequencer releases it — or into a
+// wrapper that copies it and lets it drop, and then whatever array the
+// pool had attached to it is lost with it. So a packet holding a
+// data-sized array does not travel: it goes straight back, and a copy
+// the size of the block goes in its place (what every control packet
+// cost before they were pooled). A copy the resequencer releases is a
+// small packet in the pool, which the next control packet draws, so
+// in-process lines settle at no allocation either.
 func (st *Striper) sendControl(c int, p *packet.Packet) error {
 	var err error
 	if bs := st.bufOut[c]; bs != nil {
@@ -265,17 +277,31 @@ func (st *Striper) sendControl(c int, p *packet.Packet) error {
 		st.ctl[0] = p
 		n, err = bs.Buffer(st.ctl[:1])
 		st.ctl[0] = nil
+		p.Release()
 		if n > 0 {
 			st.dirty |= 1 << uint(c)
 		}
-	} else if err = st.out[c].Send(p); err == nil {
-		st.errStreak[c] = 0
+	} else {
+		if cap(p.Payload) > travelCap {
+			q := p.Clone()
+			p.Release()
+			p = q
+		}
+		if err = st.out[c].Send(p); err == nil {
+			st.errStreak[c] = 0
+		}
 	}
 	if err != nil {
 		st.errStreak[c]++
 	}
 	return err
 }
+
+// travelCap is the largest payload array a control packet may carry
+// away on a channel that does not buffer (see sendControl): two of the
+// largest fixed-size control block, which admits the packet pool's
+// inline block and any copy made here, and no array grown for data.
+const travelCap = 2 * packet.MarkerWireLen
 
 // flushDirty is the striper's flush discipline: every exported method
 // that can write to a channel calls it on every return path that may
@@ -321,8 +347,6 @@ func (st *Striper) flushAfter(err error) error {
 // duplicated or reordered credit costs at most the wait for the next
 // marker's copy. Like every control packet it bypasses the scheduler and
 // the gate, and a transport error feeds the slot's error streak.
-//
-//stripe:allowescape control-plane: one packet per half credit window, and the credit packet must allocate
 func (st *Striper) SendCredit(c int, grant uint64) error {
 	if c < 0 || c >= len(st.out) || !st.active[c] {
 		return fmt.Errorf("core: credit for channel %d, which is not in the live set", c)
@@ -397,7 +421,7 @@ func (st *Striper) EmitMarkers() {
 // granted, so the pre-quantum convention subtracts it back; the
 // receiver's marker handling applies the mirror-image adjustment.
 //
-//stripe:allowescape marker batch: control-plane work amortized over a marker interval (policy.Every rounds), and marker packets must allocate
+//stripe:allowescape marker batch: control-plane work amortized over a marker interval (policy.Every rounds); each marker is encoded into a pooled packet (sync.Pool.Get, and an append that the packet's own block already fits)
 func (st *Striper) emitBatch() {
 	// One delay sample per few marker batches is all the peer's 8-deep
 	// min-filter needs, and a clock read per marker is real money at
@@ -683,18 +707,16 @@ func (st *Striper) sendRun(pkts []*packet.Packet) (int, error) {
 // from older epochs still in flight.
 func (st *Striper) Reset() error {
 	st.epoch++
-	// Encode the epoch once and share the payload across the broadcast:
-	// reset packets are read-only once handed to a channel, so the
-	// per-channel copies the old byte-by-byte encoding made bought
-	// nothing.
-	pl := make([]byte, 8)
-	binary.BigEndian.PutUint64(pl, st.epoch)
 	var firstErr error
 	for c := range st.out {
 		if !st.active[c] {
 			continue
 		}
-		p := &packet.Packet{Kind: packet.Reset, Payload: pl}
+		// One packet, payload included, per channel: each has its own
+		// consumer to release it.
+		p := packet.Get()
+		p.Kind = packet.Reset
+		p.Payload = binary.BigEndian.AppendUint64(p.Payload[:0], st.epoch)
 		if err := st.sendControl(c, p); firstErr == nil {
 			firstErr = err
 		}

@@ -56,11 +56,12 @@ func (r *Resequencer) harvestMarker(c int, p *packet.Packet) {
 //
 //stripe:allowescape control-cadence only (the peer sends at most one credit round per millisecond), and the decode's magic-string check is compiler-elided; the valid-credit path is allocation-free
 func (r *Resequencer) consumeCredit(c int, p *packet.Packet) {
+	cb, err := packet.DecodeCredit(p.Payload)
+	p.Release()
 	r.led.PerChannel[c].Control++
 	if r.onGrant == nil {
 		return
 	}
-	cb, err := packet.DecodeCredit(p.Payload)
 	if err != nil || int(cb.Channel) != c {
 		r.obs.OnCreditRejected(c)
 		return
@@ -75,6 +76,7 @@ func (r *Resequencer) consumeCredit(c int, p *packet.Packet) {
 //stripe:allowescape control-cadence only (one block per peer marker interval), and decoding a telemetry block allocates its channel slice
 func (r *Resequencer) consumeTelemetry(c int, p *packet.Packet) {
 	t, err := packet.TelemetryOf(p)
+	p.Release()
 	if err != nil {
 		r.led.PerChannel[c].BadTelemetry++
 		return
@@ -123,8 +125,6 @@ func (r *Resequencer) TelemetryBlock() packet.TelemetryBlock {
 // gate, and like probes a transport error feeds the channel's error
 // streak. Reports are cumulative and sequenced, so a lost one is
 // simply superseded by the next.
-//
-//stripe:allowescape control-cadence only (one packet per marker interval), and the telemetry packet must allocate
 func (st *Striper) SendTelemetry(t packet.TelemetryBlock) error {
 	n := len(st.out)
 	if st.activeN == 0 || n == 0 {

@@ -72,11 +72,13 @@ func EncodeFrame(dst []byte, p *packet.Packet) []byte {
 // DecodeFrame parses a frame back into a packet. The payload is copied
 // out of b — never aliased — so the caller may reuse (or overwrite) the
 // buffer immediately; that copy is what lets the channels below read
-// every record into one channel-owned buffer. A returned data packet is
-// drawn from the packet pool: once the receiver is done with it (and
-// retains no slice of its payload) it may hand it back with
-// Packet.Release, making the steady-state receive path allocation-free
-// (control packets: see newPacket).
+// every record into one channel-owned buffer. The packet comes from the
+// packet pool, whatever its kind. A control packet is the protocol's:
+// the resequencer releases it as it consumes it, so whoever reads one
+// off a channel hands it to Arrive and keeps no reference. A data packet
+// is the application's once delivered; handing it back with
+// Packet.Release (retaining no slice of its payload) is optional and is
+// what makes the steady-state receive path allocation-free.
 func DecodeFrame(b []byte) (*packet.Packet, error) {
 	if len(b) < hdrBase {
 		return nil, ErrFrameTooShort
@@ -88,41 +90,21 @@ func DecodeFrame(b []byte) (*packet.Packet, error) {
 	if flags&^flagSeq != 0 {
 		return nil, ErrBadFlags
 	}
-	p := newPacket(packet.Kind(b[0]))
+	kind := packet.Kind(b[0])
 	b = b[hdrBase:]
+	var seq uint64
 	if flags&flagSeq != 0 {
 		if len(b) < hdrSeq {
-			p.Release()
 			return nil, ErrFrameTooShort
 		}
-		p.Seq = binary.BigEndian.Uint64(b[:hdrSeq])
-		p.HasSeq = true
+		seq = binary.BigEndian.Uint64(b[:hdrSeq])
 		b = b[hdrSeq:]
 	}
-	p.Payload = append(p.Payload[:0], b...)
+	// Sized, so that a pool miss allocates the shape this payload wants.
+	p := packet.GetSized(len(b))
+	p.Kind, p.Seq, p.HasSeq = kind, seq, flags&flagSeq != 0
+	copy(p.Payload, b)
 	return p, nil
-}
-
-// newPacket returns the packet a frame of the given kind is decoded
-// into. Data comes from the pool, because the application hands it back
-// (Packet.Release). A control packet is consumed by the resequencer and
-// never handed back, so drawing it from the pool would drain the pool by
-// one per marker, to be refilled by a miss — two allocations, packet and
-// payload, in bursts. It gets one allocation of its own instead, with
-// room for any fixed-size control block.
-func newPacket(kind packet.Kind) *packet.Packet {
-	if kind == packet.Data {
-		p := packet.Get()
-		p.Kind = kind
-		return p
-	}
-	c := new(struct {
-		packet.Packet
-		block [64]byte
-	})
-	c.Kind = kind
-	c.Payload = c.block[:0]
-	return &c.Packet
 }
 
 // A record is the unit both transports put on the wire: recordLn bytes

@@ -135,9 +135,13 @@ func DecodeMarker(b []byte) (MarkerBlock, error) {
 	return m, nil
 }
 
-// NewMarker builds a marker packet carrying the block.
+// NewMarker builds a marker packet carrying the block, from the pool
+// (see pool.go: control packets are released by whoever consumes them).
 func NewMarker(m MarkerBlock) *Packet {
-	return &Packet{Kind: Marker, Payload: m.Encode(nil)}
+	p := Get()
+	p.Kind = Marker
+	p.Payload = m.Encode(p.Payload[:0])
+	return p
 }
 
 // MarkerOf extracts the marker block from a marker packet.
@@ -197,9 +201,12 @@ func DecodeCredit(b []byte) (CreditBlock, error) {
 	return c, nil
 }
 
-// NewCredit builds a credit packet carrying the block.
+// NewCredit builds a credit packet carrying the block, from the pool.
 func NewCredit(c CreditBlock) *Packet {
-	return &Packet{Kind: Credit, Payload: c.Encode(nil)}
+	p := Get()
+	p.Kind = Credit
+	p.Payload = c.Encode(p.Payload[:0])
+	return p
 }
 
 // CreditOf extracts the credit block from a credit packet.

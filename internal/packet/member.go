@@ -134,9 +134,12 @@ func DecodeMember(b []byte) (MemberBlock, error) {
 	return m, nil
 }
 
-// NewMember builds a member packet carrying the block.
+// NewMember builds a member packet carrying the block, from the pool.
 func NewMember(m MemberBlock) *Packet {
-	return &Packet{Kind: Member, Payload: m.Encode(nil)}
+	p := Get()
+	p.Kind = Member
+	p.Payload = m.Encode(p.Payload[:0])
+	return p
 }
 
 // MemberOf extracts the member block from a member packet.

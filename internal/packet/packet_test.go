@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -185,5 +186,77 @@ func BenchmarkMarkerDecode(b *testing.B) {
 		if _, err := DecodeMarker(enc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// poolSheds reports whether the packet pool itself allocates in this
+// process (sync.Pool drops a share of its Puts under -race), in which
+// case no allocation count says anything about the code around it.
+func poolSheds() bool {
+	return testing.AllocsPerRun(50, func() {
+		for i := 0; i < 64; i++ {
+			Get().Release()
+		}
+	}) != 0
+}
+
+// TestPoolNewIsOneAllocation: a packet born for a payload that fits
+// inlineLen is one object — header and block together, the block
+// directly behind the header — and the block holds every fixed-size
+// control block, so building one into a pooled packet never grows it. A
+// packet born for a larger payload is the header alone: the block would
+// be dead weight behind it.
+func TestPoolNewIsOneAllocation(t *testing.T) {
+	var p *Packet
+	for _, n := range []int{0, inlineLen} {
+		if a := testing.AllocsPerRun(100, func() { p = alloc(n) }); a != 1 {
+			t.Fatalf("alloc(%d): %v allocations, want 1", n, a)
+		}
+		if len(p.Payload) != 0 || cap(p.Payload) != inlineLen {
+			t.Fatalf("alloc(%d): payload len %d cap %d, want 0 and %d", n, len(p.Payload), cap(p.Payload), inlineLen)
+		}
+		if off := uintptr(unsafe.Pointer(unsafe.SliceData(p.Payload))) - uintptr(unsafe.Pointer(p)); off != unsafe.Sizeof(*p) {
+			t.Fatalf("alloc(%d): payload block lies %d bytes from the packet, want %d (directly behind the header)", n, off, unsafe.Sizeof(*p))
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { p = alloc(inlineLen + 1) }); a != 1 || p.Payload != nil {
+		t.Fatalf("alloc(%d): %v allocations, payload cap %d; want the header alone", inlineLen+1, a, cap(p.Payload))
+	}
+	for name, n := range map[string]int{"marker": MarkerWireLen, "credit": CreditWireLen, "member": MemberWireLen, "reset": 8} {
+		if n > inlineLen {
+			t.Errorf("%s block is %d bytes, over the %d inline", name, n, inlineLen)
+		}
+	}
+	if poolSheds() {
+		t.Skip("the packet pool itself allocates here (sync.Pool sheds under -race)")
+	}
+	mb, cb, ab := MarkerBlock{Channel: 1, Round: 9}, CreditBlock{Channel: 1, Grant: 9}, MemberBlock{Seq: 1, N: 4, Active: 15}
+	if a := testing.AllocsPerRun(100, func() {
+		NewMarker(mb).Release()
+		NewCredit(cb).Release()
+		NewMember(ab).Release()
+	}); a != 0 {
+		t.Errorf("building and releasing a marker, a credit and a member packet: %v allocations, want 0", a)
+	}
+}
+
+// TestOutgrownPayloadIsKeptAcrossRelease: a payload that outgrows the
+// inline block gets an array of its own, and the packet keeps that array
+// across Release, so the same size again costs nothing.
+func TestOutgrownPayloadIsKeptAcrossRelease(t *testing.T) {
+	p := GetSized(1400)
+	if len(p.Payload) != 1400 || p.Kind != Data {
+		t.Fatalf("GetSized(1400) = %v with %d bytes", p.Kind, len(p.Payload))
+	}
+	p.ID, p.Seq, p.HasSeq = 7, 8, true
+	p.Release()
+	if p.ID != 0 || p.HasSeq || len(p.Payload) != 0 || cap(p.Payload) < 1400 {
+		t.Fatalf("released packet is %v, payload len %d cap %d; want zeroed, the grown array kept", p, len(p.Payload), cap(p.Payload))
+	}
+	if poolSheds() {
+		t.Skip("the packet pool itself allocates here (sync.Pool sheds under -race)")
+	}
+	if a := testing.AllocsPerRun(100, func() { GetSized(1400).Release() }); a != 0 {
+		t.Errorf("GetSized(1400) after a release: %v allocations, want 0", a)
 	}
 }

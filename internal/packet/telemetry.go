@@ -165,9 +165,13 @@ func DecodeTelemetry(b []byte) (TelemetryBlock, error) {
 	return t, nil
 }
 
-// NewTelemetry builds a telemetry packet carrying the block.
+// NewTelemetry builds a telemetry packet carrying the block, from the
+// pool (a block past the packet's inline 64 bytes grows its own array).
 func NewTelemetry(t TelemetryBlock) *Packet {
-	return &Packet{Kind: Telemetry, Payload: t.Encode(nil)}
+	p := Get()
+	p.Kind = Telemetry
+	p.Payload = t.Encode(p.Payload[:0])
+	return p
 }
 
 // TelemetryOf extracts the telemetry block from a telemetry packet.

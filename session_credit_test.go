@@ -362,9 +362,12 @@ func TestMisaddressedCreditIsRejected(t *testing.T) {
 			a := handFedSession(t, nch, tc.window)
 			before := remaining(a, nch)
 			// Otherwise valid on either channel: both have sent 2000 bytes.
+			// Arrive owns a control packet, so the truncated copy is cut
+			// before the good one is handed over.
 			good := packet.NewCredit(packet.CreditBlock{Channel: 1, Grant: uint64(2000 + tc.window)})
+			short := &Packet{Kind: KindCredit, Payload: append([]byte(nil), good.Payload[:packet.CreditWireLen-1]...)}
 			a.Arrive(0, good)
-			a.Arrive(1, &Packet{Kind: KindCredit, Payload: good.Payload[:packet.CreditWireLen-1]})
+			a.Arrive(1, short)
 
 			snap := a.Snapshot()
 			if snap.CreditRejects != tc.rejects {
