@@ -28,6 +28,12 @@ import (
 )
 
 // Sender is the transmit side of a FIFO channel.
+//
+// A channel owns the non-Data packets it accepts (p when Send returns
+// nil, pkts[:n] from SendBatch and Buffer): one that copies the record
+// releases the packet, one that carries the pointer hands it to the
+// peer's resequencer, which releases it. The caller keeps what was
+// refused; data packets stay their sender's either way.
 type Sender interface {
 	// Send enqueues p on the channel. Impaired channels may silently
 	// drop or corrupt the packet; that is not an error (the sender of a
@@ -38,10 +44,11 @@ type Sender interface {
 
 // BatchSender is optionally implemented by channels that can accept a
 // vector of packets in one call, amortizing per-send overhead (one
-// encode loop, and for a direct caller one flush, per call). Senders
-// that do not implement it are driven packet-at-a-time by the batched
-// striper, so implementing BatchSender is purely an optimization, never
-// a requirement. When SendBatch returns, the accepted packets have been
+// encode loop, and for a direct caller one flush, per call). The
+// striper hands a channel each service run in one call: SendBatch where
+// the channel has it, Send per packet where Send is all it has. So
+// implementing BatchSender is purely an optimization, never a
+// requirement. When SendBatch returns, the accepted packets have been
 // handed to the transport: nothing waits in a user-space buffer.
 type BatchSender interface {
 	Sender
@@ -67,8 +74,8 @@ type BatchSender interface {
 // one, and this is the seam that keeps them apart. The caller owes a
 // Flush before it returns to code that may wait on the peer: a buffered
 // packet is not on the wire. When Buffer returns, the records are in the
-// channel's buffer and pkts — the packets and their payloads — are the
-// caller's again; the striper releases its control packets on that.
+// channel's buffer and the payloads of the accepted data packets are the
+// caller's again.
 type BufferedSender interface {
 	BatchSender
 	// Buffer enqueues pkts in FIFO order behind everything already

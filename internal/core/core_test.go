@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -586,6 +587,14 @@ type fixedGate struct {
 
 func (g *fixedGate) Admit(int, int) bool { return g.admit }
 func (g *fixedGate) Consume(int, int)    { g.consume++ }
+
+// Remaining mirrors Admit: everything or nothing.
+func (g *fixedGate) Remaining(int) int64 {
+	if g.admit {
+		return math.MaxInt64
+	}
+	return 0
+}
 
 func TestStriperGate(t *testing.T) {
 	grp := channel.NewGroup(2, channel.Impairments{})

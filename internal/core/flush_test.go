@@ -16,8 +16,7 @@ import (
 // bufChan is a counting fake channel.BufferedSender: what Buffer
 // accepts waits in held until Flush moves it to wire, and every call
 // that would be a write syscall on a real transport is counted. Like a
-// real one it keeps a copy of each record, never the caller's packet:
-// when Buffer returns, the striper releases its control packets.
+// real one it keeps a copy of each record, never the caller's packet.
 type bufChan struct {
 	held, wire []*packet.Packet
 	flushes    int   // Flush calls
@@ -69,12 +68,27 @@ func (b *bufChan) Send(p *packet.Packet) error {
 	return err
 }
 
-// unbuffered hides bufChan's Buffer/Flush, leaving the BatchSender the
-// striper drove before it knew the capability: the reference path.
+// unbuffered hides bufChan's Buffer/Flush, leaving a BatchSender: each
+// run and control packet is one SendBatch, and so one write.
 type unbuffered struct{ b *bufChan }
 
 func (u unbuffered) Send(p *packet.Packet) error                  { return u.b.Send(p) }
 func (u unbuffered) SendBatch(pkts []*packet.Packet) (int, error) { return u.b.SendBatch(pkts) }
+
+// sendOnly hides everything but Send: each packet is one write.
+type sendOnly struct{ b *bufChan }
+
+func (s sendOnly) Send(p *packet.Packet) error { return s.b.Send(p) }
+
+// The three shapes a channel can have: buffering, batching, Send only.
+var shapes = []struct {
+	name string
+	wrap func(*bufChan) channel.Sender
+}{
+	{"buffered", func(b *bufChan) channel.Sender { return b }},
+	{"unbuffered", func(b *bufChan) channel.Sender { return unbuffered{b} }},
+	{"sendOnly", func(b *bufChan) channel.Sender { return sendOnly{b} }},
+}
 
 func bufChans(n int) ([]*bufChan, []channel.Sender) {
 	chans := make([]*bufChan, n)
@@ -256,15 +270,14 @@ func TestNothingBufferedOnAnyReturn(t *testing.T) {
 
 // TestBufferedWireOrderMatchesUnbuffered: buffering moves syscalls, not
 // packets — per channel, the sequence of data, markers, announcements
-// and delimiters is the one the run-by-run path puts on the wire.
+// and delimiters is the same whether the channel buffers, takes each run
+// in one SendBatch, or takes Send alone.
 func TestBufferedWireOrderMatchesUnbuffered(t *testing.T) {
 	const nch = 4
-	drive := func(hide bool) []string {
+	drive := func(wrap func(*bufChan) channel.Sender) []string {
 		chans, senders := bufChans(nch)
-		if hide {
-			for c := range senders {
-				senders[c] = unbuffered{chans[c]}
-			}
+		for c := range senders {
+			senders[c] = wrap(chans[c])
 		}
 		st := mustStriper(t, StriperConfig{
 			Sched:    sched.MustSRR([]int64{1500, 1000, 3000, 1500}),
@@ -304,13 +317,18 @@ func TestBufferedWireOrderMatchesUnbuffered(t *testing.T) {
 		}
 		return wires
 	}
-	got, want := drive(false), drive(true)
+	want := drive(shapes[0].wrap)
 	for c := range want {
-		if got[c] != want[c] {
-			t.Errorf("channel %d wire differs between the buffered and the run-by-run path", c)
-		}
 		if len(want[c]) == 0 {
 			t.Errorf("channel %d carried nothing", c)
+		}
+	}
+	for _, sh := range shapes[1:] {
+		got := drive(sh.wrap)
+		for c := range want {
+			if got[c] != want[c] {
+				t.Errorf("channel %d wire differs between the %s and the %s shape", c, shapes[0].name, sh.name)
+			}
 		}
 	}
 }
@@ -401,14 +419,110 @@ func TestFlushFailureIsChannelSendError(t *testing.T) {
 	}
 }
 
-// countingConn is a net.Conn that counts Write calls and discards the
-// bytes: each call is one write syscall on a real socket.
-type countingConn struct {
-	net.Conn
-	writes int
+// TestErrStreakStepsOncePerCall: a call that fails on a slot moves its
+// error streak by one, and a call that writes it cleanly clears it —
+// whatever the channel's shape, and however many of the call's hand-offs
+// and flushes on the slot failed. The health monitor evicts on this
+// count, so EvictAfter must mean as many failed calls on a bare socket
+// as behind a wrapper. Each shape's failure switch lets grace more units
+// through first: packets on the fakes, writes on the socket, whose
+// 64 KiB buffer takes a good part of a batch before its first write.
+func TestErrStreakStepsOncePerCall(t *testing.T) {
+	const nch, bad = 4, 1
+	type row struct {
+		name string
+		// build returns the channels and slot bad's switch: fail(t, st, g)
+		// lets g more units through and fails every one after; g < 0
+		// heals the slot.
+		build func() ([]channel.Sender, func(t *testing.T, st *Striper, grace int))
+	}
+	var rows []row
+	for _, sh := range shapes {
+		rows = append(rows, row{sh.name, func() ([]channel.Sender, func(*testing.T, *Striper, int)) {
+			chans, senders := bufChans(nch)
+			for c := range senders {
+				senders[c] = sh.wrap(chans[c])
+			}
+			return senders, func(_ *testing.T, _ *Striper, grace int) {
+				b := chans[bad]
+				b.refuseAt = 0
+				if grace >= 0 {
+					b.refuseAt = len(b.wire) + len(b.held) + grace
+				}
+			}
+		}})
+	}
+	rows = append(rows, row{"TCPChannel", func() ([]channel.Sender, func(*testing.T, *Striper, int)) {
+		senders := make([]channel.Sender, nch)
+		for c := range senders {
+			senders[c] = netchan.NewTCPChannel(&countingConn{})
+		}
+		return senders, func(t *testing.T, st *Striper, grace int) {
+			var conn net.Conn = &countingConn{}
+			if grace >= 0 {
+				conn = &countingConn{failAfter: grace + 1}
+			}
+			if _, err := st.AddChannel(bad, netchan.NewTCPChannel(conn)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}})
+
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			senders, fail := r.build()
+			st := mustStriper(t, StriperConfig{Sched: sched.MustSRR(sched.UniformQuanta(nch, 1500)), Channels: senders})
+			for _, step := range []struct {
+				what  string
+				grace int // -1: healthy
+				fails bool
+				want  int64
+			}{
+				{"a clean call", -1, false, 0},
+				{"one failing call", 0, true, 1},
+				{"two failing calls", 0, true, 2},
+				{"a clean call after them", -1, false, 0},
+				{"a success then a failure in one call", 1, true, 1},
+			} {
+				fail(t, st, step.grace)
+				pkts := make([]*packet.Packet, 512)
+				for i := range pkts {
+					pkts[i] = packet.NewDataSized(1400)
+				}
+				n, err := st.SendBatch(pkts)
+				var cse *ChannelSendError
+				if failed := errors.As(err, &cse); failed != step.fails || (failed && cse.Channel != bad) || (!failed && (err != nil || n != len(pkts))) {
+					t.Fatalf("%s: SendBatch = (%d, %v)", step.what, n, err)
+				}
+				for c := 0; c < nch; c++ {
+					want := int64(0)
+					if c == bad {
+						want = step.want
+					}
+					if got := st.ErrStreak(c); got != want {
+						t.Errorf("after %s: ErrStreak(%d) = %d, want %d", step.what, c, got, want)
+					}
+				}
+			}
+		})
+	}
 }
 
-func (c *countingConn) Write(b []byte) (int, error) { c.writes++; return len(b), nil }
+// countingConn is a net.Conn that counts Write calls and discards the
+// bytes: each call is one write syscall on a real socket. With failAfter
+// set, the failAfter-th call and every one after it fail.
+type countingConn struct {
+	net.Conn
+	writes    int
+	failAfter int
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	if c.writes++; c.failAfter > 0 && c.writes >= c.failAfter {
+		return 0, errLinkDown
+	}
+	return len(b), nil
+}
 
 // TestFlushWritesPerBatchOverTCP counts at the syscall boundary itself:
 // a real striper over real TCPChannels, 64 packets of 200-1400 B over

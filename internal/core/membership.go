@@ -82,10 +82,6 @@ func (s MemberState) String() string {
 // any more, and the session declares the link dead (RemoveChannel).
 const MemberAnnounceBatches = 4
 
-// memberUniverseMax is the largest channel universe dynamic membership
-// supports, bounded by the announcement bitmap (packet.MemberBlock).
-const memberUniverseMax = 64
-
 // ErrNoActiveChannels is returned by Send when every slot has been
 // removed from the live set.
 var ErrNoActiveChannels = errors.New("core: no active channels in the live set")
@@ -114,11 +110,11 @@ func (e *ChannelSendError) Error() string {
 
 func (e *ChannelSendError) Unwrap() error { return e.Err }
 
-// sendFailed records a transport error against c's streak and wraps it.
+// sendFailed wraps a transport error on channel c. The slot's error
+// streak is flushDirty's to move.
 //
 //stripe:allowescape error wrapping on the channel-failure path only; the packet-delivered path never reaches it
 func (st *Striper) sendFailed(c int, err error) error {
-	st.errStreak[c]++
 	return &ChannelSendError{Channel: c, Err: err}
 }
 
@@ -134,11 +130,12 @@ func (st *Striper) Member(c int) MemberState {
 	return MemberRemoved
 }
 
-// ErrStreak returns the number of consecutive transport errors observed
-// on channel c (data or control sends, and the flushes that carry them
-// on a buffering channel), reset to zero by any successful send — on a
-// buffering channel, by a successful flush. The session health monitor
-// evicts on a configurable streak.
+// ErrStreak returns the number of consecutive calls that failed on
+// channel c. Each exported method that writes moves it once for every
+// slot it touched: up by one if any hand-off or flush on c failed during
+// the call, however many did, and to zero if c was written and nothing
+// on it failed — the same count on every transport, buffering or not.
+// The session health monitor evicts on a configurable streak.
 func (st *Striper) ErrStreak(c int) int64 {
 	if c < 0 || c >= len(st.out) {
 		return 0
@@ -150,9 +147,6 @@ func (st *Striper) ErrStreak(c int) int64 {
 func (st *Striper) membershipOK(c int) error {
 	if st.mem == nil || st.rb == nil {
 		return ErrMembershipUnsupported
-	}
-	if len(st.out) > memberUniverseMax {
-		return fmt.Errorf("core: dynamic membership limited to %d channels, have %d", memberUniverseMax, len(st.out))
 	}
 	if c < 0 || c >= len(st.out) {
 		return fmt.Errorf("core: channel %d out of range [0,%d)", c, len(st.out))
@@ -236,7 +230,7 @@ func (st *Striper) AddChannel(c int, tx channel.Sender) (uint64, error) {
 		return 0, err
 	}
 	if tx != nil {
-		st.bind(c, tx)
+		st.out[c] = bind(tx)
 	}
 	if st.active[c] {
 		if j := st.pendingJoin[c]; j != 0 {
@@ -321,7 +315,7 @@ func (st *Striper) memberBlock(op packet.MemberOp, target int, round uint64) pac
 	var bits uint64
 	for c := range st.out {
 		if st.active[c] {
-			bits |= uint64(1) << uint(c) // membershipOK bounds the universe to 64 slots
+			bits |= uint64(1) << uint(c) // NewStriper bounds the universe to maxChannels (64) slots
 		}
 	}
 	return packet.MemberBlock{
@@ -330,7 +324,7 @@ func (st *Striper) memberBlock(op packet.MemberOp, target int, round uint64) pac
 		Target: uint32(target), // validated non-negative and < len(out) by membershipOK
 		Round:  round,
 		Active: bits,
-		N:      uint32(len(st.out)), // bounded by memberUniverseMax
+		N:      uint32(len(st.out)), // bounded by maxChannels
 	}
 }
 

@@ -64,6 +64,63 @@ func killPair(t *testing.T, nch int) (*channel.Group, *killSender, *Striper, *Re
 	return g, kill, st, rs
 }
 
+// TestStriperUniverseIsSixtyFourSlots: the membership bitmap and the
+// flush masks hold one bit per slot, so NewStriper refuses a 65th
+// channel whatever the scheduler, and a striper at the bound removes,
+// re-adds, buffers and flushes its last slot like any other.
+func TestStriperUniverseIsSixtyFourSlots(t *testing.T) {
+	over := channel.NewGroup(65, channel.Impairments{}).Senders()
+	if _, err := NewStriper(StriperConfig{Sched: sched.MustSRR(sched.UniformQuanta(65, 100)), Channels: over}); err == nil {
+		t.Error("NewStriper accepted 65 channels under SRR")
+	}
+	rfq, err := sched.NewRFQ(sched.UniformQuanta(65, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewStriper(StriperConfig{CausalSched: rfq, Channels: over}); err == nil {
+		t.Error("NewStriper accepted 65 channels under a round-less scheduler")
+	}
+
+	const nch, last = 64, 63
+	chans, senders := bufChans(nch)
+	st := membershipStriper(t, senders)
+	dataOn := func(c int) int {
+		n := 0
+		for _, p := range chans[c].wire {
+			if p.Kind == packet.Data {
+				n++
+			}
+		}
+		return n
+	}
+	sendN(t, st, 2*nch)
+	requireNothingHeld(t, "after the sends", chans)
+	if got := dataOn(last); got != 2 {
+		t.Fatalf("slot %d carried %d data packets of %d sent over %d slots, want 2", last, got, 2*nch, nch)
+	}
+	if err := st.RemoveChannel(last); err != nil {
+		t.Fatalf("RemoveChannel(%d): %v", last, err)
+	}
+	if m, err := packet.MemberOf(chans[last].wire[len(chans[last].wire)-1]); err != nil || m.Op != packet.MemberLeave || m.Target != last {
+		t.Fatalf("slot %d's last packet is (%+v, %v), want its departure delimiter", last, m, err)
+	}
+	sendN(t, st, 2*nch)
+	if got := dataOn(last); got != 2 {
+		t.Fatalf("slot %d carried data while removed: %d packets", last, got)
+	}
+	if _, err := st.AddChannel(last, nil); err != nil {
+		t.Fatalf("AddChannel(%d): %v", last, err)
+	}
+	sendN(t, st, 2*nch)
+	requireNothingHeld(t, "after the rejoin", chans)
+	if got := dataOn(last); got <= 2 {
+		t.Fatalf("slot %d carried no data after rejoining", last)
+	}
+	if b := chans[last]; b.flushes == 0 || b.writes == 0 {
+		t.Fatalf("slot %d: %d flushes, %d writes; it must buffer and flush like the others", last, b.flushes, b.writes)
+	}
+}
+
 func sendN(t *testing.T, st *Striper, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {

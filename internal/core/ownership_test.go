@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"runtime"
 	"testing"
 	"time"
 
@@ -58,8 +57,9 @@ func TestResetPayloadsAreDistinct(t *testing.T) {
 }
 
 // TestControlPathZeroAlloc: in steady state a marker costs no allocation
-// end to end. Over sockets the striper builds it in a pooled packet and
-// releases it once the channel has buffered the record, the reader
+// end to end. Over sockets the striper builds it in a pooled packet, the
+// channel releases it once it has copied the record — a bare TCPChannel,
+// or one behind a wrapper that forwards only SendBatch — the reader
 // decodes it into a pooled packet, and the resequencer releases that as
 // it consumes it. Over in-process lines the pointer itself travels: the
 // sender lets go of it (its batch-of-one slot is empty again) and the
@@ -69,7 +69,7 @@ func TestControlPathZeroAlloc(t *testing.T) {
 	quanta := sched.UniformQuanta(nch, 1500)
 	out := make([]*packet.Packet, 8)
 
-	t.Run("TCP", func(t *testing.T) {
+	overTCP := func(t *testing.T, wrap func(*netchan.TCPChannel) channel.Sender) {
 		senders := make([]channel.Sender, nch)
 		readers := make([]*netchan.TCPChannel, nch)
 		for c := range senders {
@@ -79,7 +79,7 @@ func TestControlPathZeroAlloc(t *testing.T) {
 			}
 			defer tx.Close()
 			defer rx.Close()
-			senders[c], readers[c] = tx, rx
+			senders[c], readers[c] = wrap(tx), rx
 		}
 		st := mustStriper(t, StriperConfig{Sched: sched.MustSRR(quanta), Channels: senders})
 		rs := mustReseq(t, ResequencerConfig{Sched: sched.MustSRR(quanta), Mode: ModeLogical})
@@ -114,15 +114,15 @@ func TestControlPathZeroAlloc(t *testing.T) {
 		if a := testing.AllocsPerRun(100, cycle); a != 0 {
 			t.Errorf("%v allocations per batch of %d markers over TCP, want 0", a, nch)
 		}
+	}
+	t.Run("TCP", func(t *testing.T) {
+		overTCP(t, func(tx *netchan.TCPChannel) channel.Sender { return tx })
+	})
+	t.Run("SendBatchOnlyTCP", func(t *testing.T) {
+		overTCP(t, func(tx *netchan.TCPChannel) channel.Sender { return struct{ channel.BatchSender }{tx} })
 	})
 
 	t.Run("Queue", func(t *testing.T) {
-		// Two collections empty the process-wide pool of whatever earlier
-		// tests released: a control packet drawn holding a data-sized
-		// array does not travel, a copy does (sendControl), and that
-		// copy is two allocations.
-		runtime.GC()
-		runtime.GC()
 		g := channel.NewGroup(nch, channel.Impairments{})
 		st := mustStriper(t, StriperConfig{Sched: sched.MustSRR(quanta), Channels: g.Senders()})
 		rs := mustReseq(t, ResequencerConfig{Sched: sched.MustSRR(quanta), Mode: ModeLogical})

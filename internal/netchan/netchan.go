@@ -165,6 +165,14 @@ func splitRecord(b []byte) (frame, rest []byte, err error) {
 	return b[recordLn : recordLn+n], b[recordLn+n:], nil
 }
 
+// accepted takes a packet whose record is copied: a control packet is
+// the channel's, so it goes back to the pool (channel.Sender).
+func accepted(p *packet.Packet) {
+	if p.Kind != packet.Data {
+		p.Release()
+	}
+}
+
 // udpBudget is the datagram size Buffer fills up to before it writes:
 // an Ethernet MTU less the IPv4 and UDP headers, so a datagram of
 // several records still crosses a real link unfragmented. A record
@@ -233,12 +241,17 @@ func (u *UDPChannel) bufferRecord(p *packet.Packet) error {
 }
 
 // Send implements channel.Sender: one record, written at once (behind
-// whatever an earlier Buffer left pending).
+// whatever an earlier Buffer left pending); p is the channel's once the
+// write succeeds.
 func (u *UDPChannel) Send(p *packet.Packet) error {
 	if err := u.bufferRecord(p); err != nil {
 		return err
 	}
-	return u.Flush()
+	if err := u.Flush(); err != nil {
+		return err
+	}
+	accepted(p)
+	return nil
 }
 
 // Buffer implements channel.BufferedSender: consecutive Buffer calls
@@ -251,6 +264,7 @@ func (u *UDPChannel) Buffer(pkts []*packet.Packet) (int, error) {
 		if err := u.bufferRecord(p); err != nil {
 			return i, err
 		}
+		accepted(p)
 	}
 	return len(pkts), nil
 }
@@ -397,25 +411,31 @@ func (t *TCPChannel) writeFrame(p *packet.Packet) error {
 }
 
 // Send implements channel.Sender: the frame is written as one record
-// and flushed, preserving packet boundaries over the byte stream.
+// and flushed, preserving packet boundaries over the byte stream; p is
+// the channel's once the flush succeeds.
 func (t *TCPChannel) Send(p *packet.Packet) error {
 	if err := t.writeFrame(p); err != nil {
 		return err
 	}
-	return t.bw.Flush()
+	if err := t.bw.Flush(); err != nil {
+		return err
+	}
+	accepted(p)
+	return nil
 }
 
 // Buffer implements channel.BufferedSender: every record is appended to
 // the channel's write buffer and none is flushed (the buffer writes
 // itself out only when it fills), so consecutive Buffer calls share one
 // write syscall — whenever the caller's Flush comes. n < len(pkts) only
-// when pkts[n] could not be encoded; the records before it are buffered
-// whole, so a refusal never desyncs the stream.
+// when pkts[n] could not be encoded or made room for; the records before
+// it are buffered whole, so a refusal never desyncs the stream.
 func (t *TCPChannel) Buffer(pkts []*packet.Packet) (int, error) {
 	for i, p := range pkts {
 		if err := t.writeFrame(p); err != nil {
 			return i, err
 		}
+		accepted(p)
 	}
 	return len(pkts), nil
 }

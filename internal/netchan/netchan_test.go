@@ -307,6 +307,8 @@ type scriptedConn struct {
 	writes int
 	sink   *bytes.Buffer
 	wrote  []int
+	// writeErr, when set, fails every Write.
+	writeErr error
 }
 
 type scriptStep struct {
@@ -341,6 +343,9 @@ func (c *scriptedConn) Read(b []byte) (int, error) {
 
 func (c *scriptedConn) Write(b []byte) (int, error) {
 	c.writes++
+	if c.writeErr != nil {
+		return 0, c.writeErr
+	}
 	if c.sink != nil {
 		c.sink.Write(b)
 		c.wrote = append(c.wrote, len(b))
@@ -774,11 +779,12 @@ func TestDecodedControlFrameIsPooled(t *testing.T) {
 	}
 }
 
-// wireOf returns the bytes TCPChannel puts on the wire for p.
+// wireOf returns the bytes TCPChannel puts on the wire for p. It sends a
+// copy: a control packet is the channel's once sent.
 func wireOf(t testing.TB, p *packet.Packet) []byte {
 	t.Helper()
 	conn := &scriptedConn{sink: new(bytes.Buffer)}
-	if err := NewTCPChannel(conn).Send(p); err != nil {
+	if err := NewTCPChannel(conn).Send(p.Clone()); err != nil {
 		t.Fatal(err)
 	}
 	return conn.sink.Bytes()
@@ -795,6 +801,78 @@ func TestBufferedWireFormatMatchesEncodeFrame(t *testing.T) {
 	} {
 		if got, want := wireOf(t, p), record(t, p); !bytes.Equal(got, want) {
 			t.Errorf("%v: wire %x, want %x", p.Kind, got, want)
+		}
+	}
+}
+
+// TestChannelOwnsAcceptedControlPackets: a control packet a socket
+// channel accepts is the channel's, and goes back to the pool as soon as
+// its record is copied — through Send, SendBatch or Buffer, over TCP and
+// UDP alike. A data packet never does: its payload is its sender's. And
+// a packet the channel refused is still the caller's, untouched.
+func TestChannelOwnsAcceptedControlPackets(t *testing.T) {
+	type sender interface {
+		Send(*packet.Packet) error
+		SendBatch([]*packet.Packet) (int, error)
+		Buffer([]*packet.Packet) (int, error)
+	}
+	transports := []struct {
+		name string
+		open func(net.Conn) sender
+	}{
+		{"TCP", func(c net.Conn) sender { return NewTCPChannel(c) }},
+		{"UDP", func(c net.Conn) sender { return newUDPChannel(c) }},
+	}
+	calls := []struct {
+		name string
+		hand func(sender, *packet.Packet) error
+	}{
+		{"Send", func(ch sender, p *packet.Packet) error { return ch.Send(p) }},
+		{"SendBatch", func(ch sender, p *packet.Packet) error { _, err := ch.SendBatch([]*packet.Packet{p}); return err }},
+		{"Buffer", func(ch sender, p *packet.Packet) error { _, err := ch.Buffer([]*packet.Packet{p}); return err }},
+	}
+	marker := func() *packet.Packet { return packet.NewMarker(packet.MarkerBlock{Channel: 1, Round: 7}) }
+	released := func(p *packet.Packet) bool { return p.Kind == packet.Data && len(p.Payload) == 0 }
+	intactMarker := func(p *packet.Packet) bool {
+		m, err := packet.MarkerOf(p)
+		return err == nil && m.Round == 7
+	}
+
+	for _, tr := range transports {
+		for _, call := range calls {
+			ch := tr.open(&scriptedConn{})
+			m, d := marker(), packet.NewData([]byte("payload"))
+			for _, p := range []*packet.Packet{m, d} {
+				if err := call.hand(ch, p); err != nil {
+					t.Fatalf("%s %s: %v", tr.name, call.name, err)
+				}
+			}
+			if !released(m) {
+				t.Errorf("%s %s: an accepted marker was not released", tr.name, call.name)
+			}
+			if d.Kind != packet.Data || string(d.Payload) != "payload" {
+				t.Errorf("%s %s: an accepted data packet came back as (%v, %q)", tr.name, call.name, d.Kind, d.Payload)
+			}
+		}
+
+		// A record larger than any buffer forces a write, and the conn
+		// fails it: the marker behind it cannot be buffered, and a Send
+		// whose write fails has not delivered its packet either.
+		ch := tr.open(&scriptedConn{writeErr: io.ErrClosedPipe})
+		_, _ = ch.Buffer([]*packet.Packet{packet.NewDataSized(70_000)})
+		m := marker()
+		if n, err := ch.Buffer([]*packet.Packet{m}); n != 0 || err == nil {
+			t.Fatalf("%s: Buffer behind a failed write = (%d, %v), want a refusal", tr.name, n, err)
+		}
+		if !intactMarker(m) {
+			t.Errorf("%s: a marker Buffer refused was released", tr.name)
+		}
+		m = marker()
+		if err := ch.Send(m); err == nil {
+			t.Fatalf("%s: Send over a failing conn succeeded", tr.name)
+		}
+		if !intactMarker(m) {
+			t.Errorf("%s: a marker whose Send failed was released", tr.name)
 		}
 	}
 }

@@ -30,8 +30,10 @@
 //   - Control packets (every Kind but Data) are the protocol's. The
 //     constructors here (NewMarker, NewCredit, NewMember, NewTelemetry)
 //     and the socket decoder draw them from the pool, and whoever
-//     consumes one releases it: the striper once a buffering channel has
-//     copied it out, the resequencer once it has given it a fate. Nobody
+//     consumes one releases it: a channel owns the ones it accepts and
+//     releases each once its record is copied out (or carries the pointer
+//     to the peer), the resequencer releases one once it has given it a
+//     fate, and the striper releases only what a channel refused. Nobody
 //     else may hold a control packet past the call that handed it over.
 //   - For data packets Release stays optional. One that is never
 //     released is simply garbage collected; correctness never depends on

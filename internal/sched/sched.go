@@ -152,6 +152,13 @@ type RoundBased interface {
 	Skip()
 	// QuantumOf returns channel c's quantum.
 	QuantumOf(c int) int64
+	// CostOf returns what a packet of the given size charges a deficit
+	// counter, so a caller can predict a service's length from Deficit.
+	CostOf(size int) int64
+	// AccountCost charges a whole run of summed CostOf in one step, in
+	// the state per-packet Account calls reach, provided no packet but
+	// the last could have ended the service.
+	AccountCost(cost int64)
 	// Reset reinitialises the automaton to its start state s0.
 	Reset()
 }

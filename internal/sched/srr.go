@@ -119,11 +119,8 @@ func (s *SRR) costOf(size int) int64 {
 	return int64(size)
 }
 
-// CostOf returns what a packet of the given payload size charges
-// against a deficit counter under the scheduler's cost model (bytes
-// for SRR, one unit for the RR/GRR baselines). The batched striper
-// uses it to predict how long the current channel's service lasts
-// without mutating the automaton.
+// CostOf implements RoundBased under the scheduler's cost model: bytes
+// for SRR, one unit for the RR/GRR baselines.
 //
 //stripe:hotpath
 func (s *SRR) CostOf(size int) int64 { return s.costOf(size) }
@@ -180,14 +177,9 @@ func (s *SRR) Account(size int) {
 	}
 }
 
-// AccountCost charges one whole service run in a single step: cost must
-// be the sum of CostOf over the run's packets, and the run must have
-// been predicted so that no packet but the last could end the service
-// (deficit stays positive through the run's interior — the batched
-// striper's run-prediction rule). Under that precondition the automaton
-// lands in exactly the state m individual Account calls would produce,
-// because none of the skipped intermediate states could have advanced
-// the scan.
+// AccountCost implements RoundBased. Under its precondition (the deficit
+// stays positive through the run's interior) none of the skipped
+// intermediate states could have advanced the scan.
 //
 //stripe:hotpath
 func (s *SRR) AccountCost(cost int64) {

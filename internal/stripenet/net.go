@@ -451,7 +451,8 @@ type StripeConfig struct {
 }
 
 // memberSender adapts a NIC to channel.Sender for the striper: each
-// striped packet travels as a TypeStripe frame to the member's peer.
+// striped packet travels as a TypeStripe frame to the member's peer. The
+// frame is a copy, so a control packet goes back to the pool once encoded.
 type memberSender struct {
 	s   *StripeIface
 	n   *NIC
@@ -460,6 +461,9 @@ type memberSender struct {
 
 func (m memberSender) Send(p *packet.Packet) error {
 	body := netchan.EncodeFrame(nil, p)
+	if p.Kind != packet.Data {
+		p.Release()
+	}
 	peer := m.s.peers[m.idx]
 	if peer == (Addr{}) && m.n.peer == nil && m.n.lan != nil {
 		// LAN member without a configured peer: broadcast (correct but

@@ -215,6 +215,8 @@ func TestSessionGracefulMembershipDeadLink(t *testing.T) {
 			txB := []ChannelSender{b2a[0], b2a[1], b2a[2]}
 			colB := NewCollector(nch)
 			colB.SetChecker(NewChecker())
+			frB := NewFlightRecorder(colB, FlightRecorderConfig{})
+			colB.AddSink(frB)
 			cfg := func(col *Collector) SessionConfig {
 				return SessionConfig{
 					Config:         Config{Quanta: UniformQuanta(nch, 1500), Mode: ModeLogical, Collector: col},
@@ -283,6 +285,7 @@ func TestSessionGracefulMembershipDeadLink(t *testing.T) {
 			}
 			_, rx := b.ChannelState(2)
 			snapB := b.Snapshot()
+			sentA := a.SendStats()
 			a.Close()
 			b.Close()
 			for i := 0; i < nch; i++ {
@@ -306,6 +309,23 @@ func TestSessionGracefulMembershipDeadLink(t *testing.T) {
 			}
 			if snapB.InvariantViolations != 0 {
 				t.Errorf("invariant violations: %v", snapB.Violations)
+			}
+			if t.Failed() {
+				// Name the missing packets' fate: what a sent on each
+				// channel, what b's ledger says became of it, what the dead
+				// link swallowed, and what b's flight recorder saw last.
+				t.Logf("dead link swallowed %d data packets", hole.lostData.Load())
+				for c, row := range sentA.PerChannel {
+					t.Logf("a channel %d: tx %+v", c, row)
+				}
+				for c, ch := range snapB.Channels {
+					t.Logf("b channel %d: rx %+v", c, ch.Rx)
+				}
+				if d, ok := frB.LastDump(); ok {
+					t.Logf("b flight recorder: %s on %v; events %v", d.Reason, d.Trigger, d.Events)
+				} else {
+					t.Logf("b flight recorder (no dump): events %v", frB.Events())
+				}
 			}
 		})
 	}
